@@ -45,6 +45,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.campaign.plan import matrix_fingerprint, tiny_entries  # noqa: E402
+from repro.cli import HOST_ENGINES  # noqa: E402
 from repro.core import AcSpgemmOptions, ac_spgemm  # noqa: E402
 from repro.resilience.faults import FaultPlan, FaultSpec  # noqa: E402
 from repro.sparse import squared_operands  # noqa: E402
@@ -268,7 +269,7 @@ def main() -> int:
     parser.add_argument("--requests", type=int, default=40)
     parser.add_argument("--seed", type=int, default=20260808)
     parser.add_argument("--engine", default="process",
-                        choices=("reference", "batched", "parallel", "process"))
+                        choices=HOST_ENGINES)
     parser.add_argument("--out", default="BENCH_serve.json")
     args = parser.parse_args()
     clients = 3 if args.smoke else args.clients

@@ -1,6 +1,6 @@
 """Host wall-clock comparison of the execution engines.
 
-Runs ``reference``, ``batched``, ``parallel`` and ``process`` on a
+Runs ``reference``, ``batched`` and ``process`` on a
 cross-section of the suite, verifies that every engine produces
 bit-identical results and identical simulated statistics, and reports
 the host-side speedups.  The payload also carries a span-attributed
@@ -8,7 +8,7 @@ host hotspot table (top span names by host seconds, joined with their
 simulated cycles) so a regression in host time points at the span that
 grew, and gates the geometric-mean speedups against the targets in
 :data:`repro.bench.wallclock.SPEEDUP_TARGETS` — the batched floor in
-full mode, the parallel floor only on multi-core hosts.
+full mode, the process floor only on multi-core hosts.
 
 Usage::
 

@@ -42,14 +42,14 @@ __all__ = [
     "run_trace_overhead",
 ]
 
-DEFAULT_ENGINES = ("reference", "batched", "parallel", "process")
+DEFAULT_ENGINES = ("reference", "batched", "process")
 
 #: geometric-mean host-speedup floors over the reference engine.  The
 #: batched floor holds unconditionally on the full case set; the
-#: parallel floor only where parallelism exists to pay for the dispatch
-#: (``os.cpu_count() >= 2`` — on one core the thread/process machinery
-#: can only break even at best, so the bench reports but does not gate).
-SPEEDUP_TARGETS = {"batched": 3.5, "parallel": 1.5}
+#: process floor only where parallelism exists to pay for the dispatch
+#: (``os.cpu_count() >= 2`` — on one core the process machinery can
+#: only break even at best, so the bench reports but does not gate).
+SPEEDUP_TARGETS = {"batched": 3.5, "process": 1.5}
 
 
 def tune_allocator() -> bool:
@@ -206,7 +206,7 @@ def run_wallclock(
     }
     # the speedup claim is made on the full case set; smoke shrinks the
     # matrices until fixed overheads dominate, so smoke mode reports the
-    # targets without gating on them.  The parallel target additionally
+    # targets without gating on them.  The process target additionally
     # needs real cores to pay for its dispatch machinery.
     cpu_count = os.cpu_count() or 1
     enforced = {

@@ -32,6 +32,7 @@ import numpy as np
 
 from .baselines import GPU_ALGORITHMS, make_algorithm
 from .core import AcSpgemmOptions, ac_spgemm
+from .engine import ENGINES
 from .resilience import ReproError
 from .sparse import (
     count_intermediate_products,
@@ -62,7 +63,7 @@ CSV_HEADERS = [
 ]
 
 #: host execution engines of the AC-SpGEMM pipeline (identical results)
-HOST_ENGINES = ("reference", "batched", "parallel", "process")
+HOST_ENGINES = tuple(ENGINES)
 
 #: registered ``repro.backends`` engines selectable via ``--engine``
 BACKEND_ENGINES = ("adaptive", "hash-spgemm", "hashmap-spgemm")
@@ -566,7 +567,7 @@ def main(argv=None) -> int:
                    help="matrix file path, or suite:NAME for a suite entry")
     p.add_argument("--float", action="store_true", help="single precision")
     p.add_argument("--engine", default="reference",
-                   choices=("reference", "batched", "parallel", "process"))
+                   choices=HOST_ENGINES)
     p.add_argument("--estimator", default="uniform",
                    choices=("uniform", "sampling"))
     p.add_argument("--sanitize", action="store_true")
@@ -618,7 +619,7 @@ def main(argv=None) -> int:
                    help="registered backend executing each local tile "
                         "multiply ('adaptive' routes per tile)")
     p.add_argument("--engine", default="reference",
-                   choices=("reference", "batched", "parallel", "process"),
+                   choices=HOST_ENGINES,
                    help="host execution engine for the tile pipelines")
     p.add_argument("--blocking", action="store_true",
                    help="single-buffer blocking broadcasts instead of the "
@@ -656,7 +657,7 @@ def main(argv=None) -> int:
     p.add_argument("--dtypes", default="float64",
                    choices=("float32", "float64", "both"))
     p.add_argument("--engine", default="reference",
-                   choices=("reference", "batched", "parallel", "process"))
+                   choices=HOST_ENGINES)
     p.add_argument("--estimator", default="uniform",
                    choices=("uniform", "sampling"),
                    help="chunk-pool size estimator for AC-SpGEMM cells")
@@ -690,7 +691,7 @@ def main(argv=None) -> int:
                    help="listen port (0 = ephemeral; the chosen port is "
                         "printed in the listening line)")
     p.add_argument("--engine", default="process",
-                   choices=("reference", "batched", "parallel", "process"),
+                   choices=HOST_ENGINES,
                    help="primary execution engine (identical results)")
     p.add_argument("--backend", default="ac-spgemm",
                    choices=("ac-spgemm",) + BACKEND_ENGINES,

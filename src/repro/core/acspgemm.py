@@ -110,7 +110,7 @@ class AcSpgemmResult:
     #: always recorded; identical across engines for the same input
     spans: object | None = None
     #: host-side engine telemetry (blocks stepped, fused launches,
-    #: thread-pool tasks); engine-specific by design, unlike every
+    #: process-pool tasks); engine-specific by design, unlike every
     #: simulated statistic
     engine_stats: dict = field(default_factory=dict)
     #: aggregate fraction of SM-cycles busy over the block-level kernel

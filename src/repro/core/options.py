@@ -94,9 +94,9 @@ class AcSpgemmOptions:
     collect_trace: bool = False
     #: host execution engine for the block-level stages: ``"reference"``
     #: steps one simulated block at a time, ``"batched"`` fuses all ready
-    #: blocks of a launch into flat numpy batches, ``"parallel"`` runs
-    #: blocks on a thread pool, ``"process"`` pins ESC rounds to warm
-    #: worker processes fed via shared memory.  All engines produce
+    #: blocks of a launch into flat numpy batches, ``"process"`` runs
+    #: ESC rounds on warm worker processes fed via shared memory.  The
+    #: names are the keys of ``repro.engine.ENGINES``.  All engines produce
     #: bit-identical results and identical simulated cycles/counters;
     #: only host wall-clock differs (see ``repro.engine``).
     engine: str = "reference"
@@ -125,10 +125,12 @@ class AcSpgemmOptions:
         object.__setattr__(self, "value_dtype", np.dtype(self.value_dtype))
         if self.value_dtype not in (np.dtype(np.float32), np.dtype(np.float64)):
             raise ValueError("value_dtype must be float32 or float64")
-        if self.engine not in ("reference", "batched", "parallel", "process"):
+        from ..engine import ENGINES
+
+        if self.engine not in ENGINES:
             raise ValueError(
                 f"unknown engine {self.engine!r}; "
-                "expected 'reference', 'batched', 'parallel' or 'process'"
+                f"expected one of {', '.join(map(repr, ENGINES))}"
             )
         if self.multi_merge_max_chunks < 2:
             raise ValueError("multi_merge_max_chunks must be at least 2")

@@ -18,17 +18,14 @@ That makes the *host execution strategy* pluggable:
     ``(block_id << key_bits) | key``, segment-boundary flags for
     compaction and ``np.add.reduceat`` for accumulation.  Charges the
     identical per-block :class:`~repro.gpu.cost.CostMeter` numbers.
-``parallel``
-    The unmodified per-block code on a thread pool
-    (:mod:`repro.engine.parallel`), with allocations recorded against
-    shadow objects and committed serially in block order so pool
-    exhaustion, chunk offsets and shared-row attribution stay
-    deterministic.
 ``process``
-    The parallel engine with ESC rounds forced onto persistent warm
-    worker processes (:mod:`repro.engine.process`): operands travel
-    once per pair via ``multiprocessing.shared_memory`` and workers map
-    them zero-copy, sidestepping the GIL that caps the thread pool.
+    The reference engine with ESC rounds on persistent warm worker
+    processes (:mod:`repro.engine.process`): operands travel once per
+    pair via ``multiprocessing.shared_memory``, workers map them
+    zero-copy, and allocations recorded against shadow objects are
+    committed serially in block order so pool exhaustion, chunk offsets
+    and shared-row attribution stay deterministic.  When the pool is
+    unavailable the round runs through the serial reference path.
 
 Every engine produces bit-identical results and identical simulated
 statistics; they differ only in host wall-clock time (see
@@ -37,7 +34,45 @@ statistics; they differ only in host wall-clock time (see
 
 from __future__ import annotations
 
-from .base import Engine, EngineContext, RoundOutcome
+from collections.abc import Mapping
+from importlib import import_module
+
+
+class _Registry(Mapping):
+    """Engine name -> class.  The names are fixed here, so ``name in
+    ENGINES`` imports nothing; each class is imported on first lookup."""
+
+    def __init__(self, paths: dict[str, str]):
+        self._paths = paths
+        self._classes: dict[str, type] = {}
+
+    def __getitem__(self, name: str) -> type:
+        if name not in self._classes:
+            module, attr = self._paths[name].split(":")
+            self._classes[name] = getattr(import_module(module, __name__), attr)
+        return self._classes[name]
+
+    def __contains__(self, name) -> bool:
+        return name in self._paths
+
+    def __iter__(self):
+        return iter(self._paths)
+
+    def __len__(self) -> int:
+        return len(self._paths)
+
+
+#: defined before the ``base`` import below: ``AcSpgemmOptions`` validates
+#: its ``engine`` against these names while ``base`` is importing it
+ENGINES: Mapping[str, type] = _Registry(
+    {
+        "reference": ".reference:ReferenceEngine",
+        "batched": ".batched:BatchedEngine",
+        "process": ".process:ProcessEngine",
+    }
+)
+
+from .base import Engine, EngineContext, RoundOutcome  # noqa: E402
 
 __all__ = ["Engine", "EngineContext", "RoundOutcome", "ENGINES", "get_engine"]
 
@@ -51,45 +86,3 @@ def get_engine(name: str) -> Engine:
             f"unknown engine {name!r}; available: {sorted(ENGINES)}"
         ) from None
     return cls()
-
-
-def _registry() -> dict:
-    from .batched import BatchedEngine
-    from .parallel import ParallelEngine
-    from .process import ProcessEngine
-    from .reference import ReferenceEngine
-
-    return {
-        ReferenceEngine.name: ReferenceEngine,
-        BatchedEngine.name: BatchedEngine,
-        ParallelEngine.name: ParallelEngine,
-        ProcessEngine.name: ProcessEngine,
-    }
-
-
-class _LazyRegistry(dict):
-    """Engine name -> class, resolved on first access (avoids importing
-    every engine implementation at package import time)."""
-
-    def _ensure(self) -> None:
-        if not super().__len__():
-            super().update(_registry())
-
-    def __getitem__(self, key):
-        self._ensure()
-        return super().__getitem__(key)
-
-    def __iter__(self):
-        self._ensure()
-        return super().__iter__()
-
-    def __len__(self) -> int:
-        self._ensure()
-        return super().__len__()
-
-    def __contains__(self, key) -> bool:
-        self._ensure()
-        return super().__contains__(key)
-
-
-ENGINES: dict = _LazyRegistry()

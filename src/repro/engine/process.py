@@ -1,18 +1,20 @@
-"""Persistent warm worker processes for ESC rounds.
+"""The ``process`` engine: ESC rounds on persistent warm worker processes.
 
-The per-block Python dispatch of an ESC round is GIL-bound — threads
-cannot parallelise it — so on multi-core hosts the parallel engine ships
-each round's blocks to a pool of *warm* spawn processes that stay alive
-across rounds and runs.  The expensive state (the CSR operands and the
-global load-balance arrays) is placed once per operand pair: the parent
-exports A and B to shared memory (:class:`~repro.engine.shm.SharedCSR`),
-workers map them zero-copy and re-derive the (deterministic) load
-balance locally.  Per round only the tiny restart states travel to the
-workers and the optimistic execution results travel back.
+The per-block Python dispatch of an ESC round is GIL-bound, so this
+engine ships each round's blocks to a pool of *warm* spawn processes
+that stay alive across rounds and runs.  The expensive state (the CSR
+operands and the global load-balance arrays) is placed once per operand
+pair: the parent exports A and B to shared memory
+(:class:`~repro.engine.shm.SharedCSR`), workers map them zero-copy and
+re-derive the (deterministic) load balance locally.  Per round only the
+tiny restart states travel to the workers and the optimistic execution
+results travel back.  Every other round (the merges, the chunk copy)
+runs serially, exactly as :class:`~repro.engine.reference.ReferenceEngine`
+runs it.
 
 Workers never see the real chunk pool or row tracker.  Each block runs
-against the same shadow objects the thread path uses, so the returned
-``(meter, records)`` feed the identical serial replay
+against shadow objects that record its allocations, so the returned
+``(meter, records)`` feed the serial replay
 (:func:`repro.engine.replay.replay_and_commit`) — results, cycles and
 every simulated statistic stay bit-identical to the reference engine no
 matter how many workers run.
@@ -25,8 +27,9 @@ the retry budget is spent — block execution is side-effect free until
 the serial replay, so a resend computes bit-identical results.  Above
 that, :func:`process_esc_runs` still treats any escaped error as
 "processes unavailable": it tears the pool down and returns ``None``,
-and the caller falls back to the thread path *before* mutating any
-block — correctness never depends on process health.
+and the engine runs the round through the serial reference path
+*before* mutating any block — correctness never depends on process
+health.
 
 The pool is thread-safe: the serve daemon's executor threads share it,
 so every public method serialises on one reentrant lock (per-request
@@ -52,8 +55,14 @@ from ..gpu.block import BlockContext
 from ..gpu.cost import CostMeter
 from ..obs.trace import current_span, current_trace, derive_span_id
 from ..resilience.errors import WorkerCrashed
-from .parallel import ParallelEngine, _ShadowPool, _ShadowTracker
-from .replay import AllocationRecord, OptimisticRun
+from .base import EngineContext, RoundOutcome
+from .reference import ReferenceEngine
+from .replay import (
+    AllocationRecord,
+    OptimisticRun,
+    replay_and_commit,
+    snapshot_counters,
+)
 from .shm import SharedCSR
 
 __all__ = [
@@ -69,14 +78,20 @@ _EXPORT_CACHE = 4
 
 
 def resolve_process_workers() -> int:
-    """Worker count: ``REPRO_PROCESS_WORKERS`` or the core count."""
+    """Pool size: ``REPRO_PROCESS_WORKERS`` or the core count.
+
+    The variable accepts ``auto`` (the core count) or a positive
+    integer; anything else raises ``ValueError``.
+    """
     env = os.environ.get("REPRO_PROCESS_WORKERS", "").strip()
-    if env and env != "auto":
-        try:
-            return max(0, int(env))
-        except ValueError:
-            return 0
-    return os.cpu_count() or 1
+    if not env or env == "auto":
+        return os.cpu_count() or 1
+    if not env.isdecimal() or int(env) < 1:
+        raise ValueError(
+            f"REPRO_PROCESS_WORKERS must be 'auto' or a positive integer, "
+            f"got {env!r}"
+        )
+    return int(env)
 
 
 # ---------------------------------------------------------------------------
@@ -84,14 +99,64 @@ def resolve_process_workers() -> int:
 # ---------------------------------------------------------------------------
 
 
-class _StubTracker:
-    """The tracker surface an optimistic ESC block touches: it counts
-    ``shared_rows`` growth (zero while running optimistically) and never
-    reads chunk lists."""
+class _ShadowPool:
+    """Chunk-pool facade with unlimited virtual space.
 
-    def __init__(self, n_rows: int):
-        self.n_rows = n_rows
+    ``allocate`` never raises; it snapshots the meter (the state the
+    reference would report if this allocation failed), charges the bump
+    atomic and appends an :class:`AllocationRecord`.  The real offsets
+    are assigned during the serial replay.
+    """
+
+    def __init__(self, real_pool, records: list, state_fn, scratchpad):
+        self._records = records
+        self._state_fn = state_fn
+        self._scratchpad = scratchpad
+        self.data_bytes = real_pool.data_bytes
+
+    def allocate(self, chunk, nbytes: int, meter):
+        if nbytes <= 0:
+            raise ValueError("chunk allocation must be positive")
+        rec = AllocationRecord(
+            chunk=chunk,
+            nbytes=nbytes,
+            pre_cycles=meter.cycles,
+            pre_counters=snapshot_counters(meter.counters),
+            commit=("insert", [], []),
+            restore=self._state_fn(),
+            pre_scratch_high=self._scratchpad.high_water,
+            pre_sort_len=len(meter.sort_log or ()),
+        )
+        meter.atomic(1)
+        self._records.append(rec)
+        return chunk
+
+
+class _ShadowTracker:
+    """The row-tracker surface an optimistic ESC block touches: inserts
+    attach their commit action to the block's latest allocation record.
+
+    ``shared_rows`` stays empty: ``EscBlock.run`` counts its growth to
+    settle the deferred shared-row atomics, which are order-dependent
+    and land in the replay's correction instead — same addition, same
+    order."""
+
+    def __init__(self, records: list):
+        self._records = records
         self.shared_rows: list[int] = []
+
+    def insert_chunk(self, chunk, b, meter) -> None:
+        rec = self._records[-1]
+        assert rec.chunk is chunk, "insert must follow the chunk's allocation"
+        if chunk.kind == "pointer":
+            rows, counts = [chunk.first_row], [chunk.b_length]
+        else:
+            r, c = np.unique(chunk.rows, return_counts=True)
+            rows, counts = r.tolist(), [int(x) for x in c.tolist()]
+        # list-head exchange + row-count add per covered row; the extra
+        # shared-row atomic is order-dependent and deferred to the replay
+        meter.atomic(2 * len(rows))
+        rec.commit = ("insert", rows, counts)
 
 
 def _run_esc_block(a, b, glb, options, pool_proto, st: dict) -> dict:
@@ -125,7 +190,7 @@ def _run_esc_block(a, b, glb, options, pool_proto, st: dict) -> dict:
         },
         scratchpad=ctx.scratchpad,
     )
-    shadow_tracker = _ShadowTracker(_StubTracker(a.rows), records)
+    shadow_tracker = _ShadowTracker(records)
     blk.run(ctx, shadow_pool, shadow_tracker)
     return {
         "meter": ctx.meter,
@@ -551,18 +616,16 @@ def _teardown_pool() -> None:
             _POOL = None
 
 
-def process_esc_runs(engine, ectx, pending: list) -> list[OptimisticRun] | None:
+def process_esc_runs(ectx, pending: list) -> list[OptimisticRun] | None:
     """Execute one ESC round on the warm pool.
 
     Returns the optimistic runs for :func:`replay_and_commit`, or
     ``None`` (with no state mutated) when processes are unavailable —
-    the caller then uses the thread path.
+    the caller then runs the round serially.
     """
     if not pending:
         return []
     n_workers = resolve_process_workers()
-    if n_workers < 1:
-        return None
     # an active request trace rides the task pickle into the workers:
     # each one derives its block-span ids from this pair, and the final
     # (post-redistribution) results are grafted back under the round
@@ -649,15 +712,22 @@ def process_esc_runs(engine, ectx, pending: list) -> list[OptimisticRun] | None:
     return runs
 
 
-class ProcessEngine(ParallelEngine):
-    """The parallel engine with ESC rounds pinned to warm processes.
+class ProcessEngine(ReferenceEngine):
+    """The reference engine with ESC rounds on warm worker processes.
 
-    Selecting ``engine="process"`` forces the process path even on a
-    single-core host (one warm worker), which is how the tests exercise
-    it everywhere; the plain parallel engine reaches the same code
-    automatically on multi-core hosts.
+    ``REPRO_PROCESS_WORKERS`` sizes the pool (default: the core count);
+    one worker is enough to exercise the whole path.  When the pool is
+    unavailable the round falls back to the serial reference round.
     """
 
     name = "process"
 
-    use_processes = True
+    def esc_round(self, ectx: EngineContext, pending: list) -> list[RoundOutcome]:
+        runs = process_esc_runs(ectx, pending)
+        if runs is None:
+            return super().esc_round(ectx, pending)
+        self.count("proc_esc_rounds")
+        self.count("proc_esc_tasks", len(pending))
+        return replay_and_commit(
+            ectx.pool, ectx.tracker, runs, ectx.options.costs
+        )

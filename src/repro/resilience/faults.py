@@ -6,7 +6,7 @@ inject into one ``ac_spgemm`` run.  Activating a plan produces a fresh
 the same plan can drive any number of runs — and the acceptance bar of
 the resilience layer is exactly that: **the same plan produces the same
 exceptions, the same restart counts and a bit-identical recovered C on
-every engine** (reference / batched / parallel).
+every engine** (reference / batched / process).
 
 Fault classes
 -------------
@@ -16,7 +16,7 @@ Fault classes
     chunk-pool admission attempt (1-based, counted across the whole
     run).  The hook sits in the single admission chokepoint
     (:meth:`ChunkPool.admission_ok`), which the reference engine hits
-    inside ``ChunkPool.allocate`` and the batched/parallel engines hit
+    inside ``ChunkPool.allocate`` and the batched/process engines hit
     during the serial replay — in *provably the same sequence*: both
     walk blocks in block order and stop a block at its first failed
     admission, so the Nth admission attempt names the same allocation
@@ -254,7 +254,7 @@ class FaultInjector:
 
         Installed as ``ChunkPool.fault_hook``; consulted by
         ``ChunkPool.allocate`` (reference path) and by the serial
-        replay (batched/parallel paths) — once per admission attempt in
+        replay (batched/process paths) — once per admission attempt in
         the identical block-major sequence.
         """
         self.admissions += 1

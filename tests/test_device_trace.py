@@ -3,7 +3,7 @@
 The contracts under test (see ``docs/ARCHITECTURE.md`` §6):
 
 * the serialised trace is **byte-identical** across the reference,
-  batched and parallel engines — including runs with injected faults
+  batched and process engines — including runs with injected faults
   and the degradation fallback;
 * the trace reconciles **exactly** (no tolerance) with every other
   accounting surface: per-stage cycle sums equal ``result.stage_cycles``,
@@ -34,7 +34,7 @@ from repro.resilience.faults import FaultPlan
 from .conftest import random_csr
 from .test_edge_degenerate import degenerate_cases
 
-ENGINES = ("reference", "batched", "parallel")
+ENGINES = ("reference", "batched", "process")
 
 
 def _opts(**kw) -> AcSpgemmOptions:
@@ -84,7 +84,7 @@ class TestCrossEngineByteDeterminism:
             res = ac_spgemm(a, b, _opts(engine=engine))
             _assert_reconciled(res)
             traces[engine] = res.device_trace.to_json()
-        assert traces["reference"] == traces["batched"] == traces["parallel"]
+        assert traces["reference"] == traces["batched"] == traces["process"]
 
     def test_restart_run(self, rng):
         """Pool exhaustion/restarts leave identical traces too."""
@@ -99,7 +99,7 @@ class TestCrossEngineByteDeterminism:
             assert res.restarts > 0  # the scenario must exercise restarts
             _assert_reconciled(res)
             traces[engine] = res.device_trace.to_json()
-        assert traces["reference"] == traces["batched"] == traces["parallel"]
+        assert traces["reference"] == traces["batched"] == traces["process"]
         host = [
             json.loads(traces["reference"])["records"][i]
             for i, r in enumerate(res.device_trace.records)
@@ -116,7 +116,7 @@ class TestCrossEngineByteDeterminism:
             res = ac_spgemm(a, b, _opts(engine=engine, fault_plan=plan))
             _assert_reconciled(res)
             traces[engine] = res.device_trace.to_json()
-        assert traces["reference"] == traces["batched"] == traces["parallel"]
+        assert traces["reference"] == traces["batched"] == traces["process"]
         aborted = [
             ev for _, ev in res.device_trace.block_events() if ev.aborted
         ]
@@ -144,7 +144,7 @@ class TestCrossEngineByteDeterminism:
             assert dt.stage_cycle_totals()["FB"] == res.stage_cycles["FB"]
             assert reconcile(res)["checked"] is False
             traces[engine] = dt.to_json()
-        assert traces["reference"] == traces["batched"] == traces["parallel"]
+        assert traces["reference"] == traces["batched"] == traces["process"]
 
     def test_repeat_run_is_byte_stable(self, rng):
         a, b = _pair(rng)
@@ -166,7 +166,7 @@ class TestCrossEngineByteDeterminism:
             res = ac_spgemm(a, a, _opts(engine=engine))
             _assert_reconciled(res)
             traces[engine] = res.device_trace.to_json()
-        assert traces["reference"] == traces["batched"] == traces["parallel"]
+        assert traces["reference"] == traces["batched"] == traces["process"]
 
 
 class TestReconciliationSweep:
@@ -264,7 +264,7 @@ class TestAnalyze:
             # the engine label is the only allowed difference
             doc["engine"] = "X"
             docs[engine] = json.dumps(doc, sort_keys=True)
-        assert docs["reference"] == docs["batched"] == docs["parallel"]
+        assert docs["reference"] == docs["batched"] == docs["process"]
 
     def test_report_figures(self, rng):
         a, b = _pair(rng)

@@ -19,7 +19,7 @@ from repro.obs import validate_perfetto
 from repro.obs.profile import profile_run
 from repro.sparse import matrix_stats, spgemm_reference
 
-ENGINES = ("reference", "batched", "parallel")
+ENGINES = ("reference", "batched", "process")
 
 
 def _empty(rows: int, cols: int) -> CSRMatrix:

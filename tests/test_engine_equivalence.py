@@ -1,6 +1,6 @@
 """Property tests: every execution engine is observationally identical.
 
-The batched and parallel engines are execution strategies, not
+The batched and process engines are execution strategies, not
 alternative semantics (see docs/ARCHITECTURE.md, "Execution engines"):
 for any input they must produce a bit-identical output matrix *and*
 identical simulated statistics — per-stage cycles, traffic counters,
@@ -20,7 +20,7 @@ from repro.matrices import generators as g
 from repro.sparse.stats import squared_operands
 from tests.conftest import random_csr
 
-ENGINES = ("batched", "parallel", "process")
+ENGINES = ("batched", "process")
 
 
 def _signature(res) -> dict:

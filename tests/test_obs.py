@@ -30,7 +30,7 @@ from repro.obs.profile import profile_run
 from repro.sparse import write_matrix_market
 from tests.conftest import random_csr
 
-ENGINES = ("reference", "batched", "parallel")
+ENGINES = ("reference", "batched", "process")
 
 
 def _small_opts(**kw) -> AcSpgemmOptions:

@@ -5,9 +5,10 @@ The observational equivalence of the ``process`` engine itself is
 covered by ``tests/test_engine_equivalence.py`` (it sweeps every
 engine); the tests here pin the supporting machinery — the
 :class:`~repro.engine.shm.SharedCSR` segment lifecycle (round-trip,
-stale-segment reclaim, no leaks), the ``REPRO_PROCESS_WORKERS`` forcing
-knob on the parallel engine, the campaign runner's post-SIGKILL segment
-sweep, and the out-of-band host span profile used by the hotspot bench.
+stale-segment reclaim, no leaks), the ``REPRO_PROCESS_WORKERS`` pool
+size, the serial fallback when the pool is unavailable, the campaign
+runner's post-SIGKILL segment sweep, and the out-of-band host span
+profile used by the hotspot bench.
 """
 
 from __future__ import annotations
@@ -106,27 +107,56 @@ class TestSharedCSR:
 
 
 class TestForcedProcessDispatch:
-    def test_parallel_engine_forced_to_processes(self, monkeypatch):
-        """``REPRO_PROCESS_WORKERS=2`` routes ESC rounds to worker
+    def test_two_workers_dispatch_to_processes(self, monkeypatch):
+        """``REPRO_PROCESS_WORKERS=2`` fans ESC rounds over two worker
         processes even on one core, without perturbing any output."""
         a, b = squared_operands(g.random_uniform(300, 300, 8.0, seed=21))
         ref = ac_spgemm(
             a, b, AcSpgemmOptions(engine="reference")
         )
         monkeypatch.setenv("REPRO_PROCESS_WORKERS", "2")
-        res = ac_spgemm(a, b, AcSpgemmOptions(engine="parallel"))
+        res = ac_spgemm(a, b, AcSpgemmOptions(engine="process"))
         assert res.engine_stats.get("proc_esc_rounds", 0) >= 1
         assert res.matrix.values.tobytes() == ref.matrix.values.tobytes()
         assert res.matrix.col_idx.tobytes() == ref.matrix.col_idx.tobytes()
         assert dict(res.stage_cycles) == dict(ref.stage_cycles)
         assert res.counters == ref.counters
 
-    def test_forced_off_uses_threads(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PROCESS_WORKERS", "0")
-        a, b = squared_operands(g.random_uniform(200, 200, 6.0, seed=22))
-        res = ac_spgemm(a, b, AcSpgemmOptions(engine="parallel"))
+    @pytest.mark.parametrize("value", ["two", "-3", "0", "1.5"])
+    def test_malformed_worker_count_raises(self, monkeypatch, value):
+        from repro.engine.process import resolve_process_workers
+
+        monkeypatch.setenv("REPRO_PROCESS_WORKERS", value)
+        with pytest.raises(ValueError, match="REPRO_PROCESS_WORKERS"):
+            resolve_process_workers()
+
+    def test_auto_worker_count_is_core_count(self, monkeypatch):
+        from repro.engine.process import resolve_process_workers
+
+        monkeypatch.setenv("REPRO_PROCESS_WORKERS", "auto")
+        assert resolve_process_workers() == (os.cpu_count() or 1)
+
+    def test_pool_unavailable_runs_serial_round(self, monkeypatch):
+        """When the warm pool cannot start, every ESC round runs through
+        the serial reference round: same bytes, no process counters and
+        no shared-memory segment left behind."""
+        from repro.engine import process as proc_mod
+
+        def _no_pool():
+            raise OSError("no processes here")
+
+        monkeypatch.setattr(proc_mod, "warm_pool", _no_pool)
+        shm_before = set(os.listdir("/dev/shm"))
+        a, b = squared_operands(g.random_uniform(250, 250, 6.0, seed=24))
+        ref = ac_spgemm(a, b, AcSpgemmOptions(engine="reference"))
+        res = ac_spgemm(a, b, AcSpgemmOptions(engine="process"))
+        assert res.matrix.values.tobytes() == ref.matrix.values.tobytes()
+        assert res.matrix.col_idx.tobytes() == ref.matrix.col_idx.tobytes()
+        assert res.matrix.row_ptr.tobytes() == ref.matrix.row_ptr.tobytes()
+        assert dict(res.stage_cycles) == dict(ref.stage_cycles)
+        assert res.engine_stats.get("esc_rounds", 0) >= 1
         assert "proc_esc_rounds" not in res.engine_stats
-        assert res.engine_stats.get("pool_esc_rounds", 0) >= 1
+        assert set(os.listdir("/dev/shm")) <= shm_before
 
     def test_pool_teardown_leaves_no_segments(self, monkeypatch):
         """After an explicit warm-pool teardown the operand LRU is

@@ -30,7 +30,7 @@ from tests.conftest import random_csr
 
 pytestmark = pytest.mark.fault
 
-ENGINES = ("reference", "batched", "parallel", "process")
+ENGINES = ("reference", "batched", "process")
 
 
 @pytest.fixture
