@@ -12,8 +12,8 @@ Execution modes:
 * ``workers == 1`` — inline, in-process (no spawn overhead; this is
   also the mode the determinism tests compare everything against);
 * ``workers >= 2`` — N worker processes (``spawn`` start method, so
-  every worker re-derives its matrices from seeds in a fresh
-  interpreter) pulling cells from a shared queue.
+  every worker starts from a fresh interpreter), each asking the runner
+  for its next cell over a private pipe.
 
 A shared :class:`~repro.bench.harness.ResultCache` can seed the
 campaign (cells already swept by the figure benches are imported as
@@ -44,7 +44,7 @@ from .store import (
     merged_artifact_bytes,
     write_atomic,
 )
-from .worker import campaign_trace_meta, execute_cell, worker_main
+from .worker import CellFeed, campaign_trace_meta, execute_cell, worker_main
 
 __all__ = ["CampaignResult", "CampaignRunner", "campaign_records"]
 
@@ -303,14 +303,17 @@ class CampaignRunner:
 
     def _run_processes(self, remaining: list[CellSpec]) -> None:
         import multiprocessing as mp
+        from collections import deque
+        from multiprocessing.connection import wait
 
         ctx = mp.get_context("spawn")
         n = min(self.workers, len(remaining))
-        work = ctx.Queue()
-        for cell in remaining:
-            work.put(cell.index)
-        for _ in range(n):
-            work.put(None)
+        # cells are handed out on request, one pipe per worker: a shared
+        # ctx.Queue is backed by POSIX named semaphores, which a SIGKILL
+        # of the campaign (its resource tracker included) leaks under
+        # random names that no later invocation can reclaim
+        todo = deque(cell.index for cell in remaining)
+        pipes = [ctx.Pipe() for _ in range(n)]
         operand_metas, operand_handles = self._export_operands(remaining)
         procs = [
             ctx.Process(
@@ -319,7 +322,7 @@ class CampaignRunner:
                     str(self.directory),
                     w,
                     self.config.to_json(),
-                    work,
+                    CellFeed(pipes[w][1]),
                     self.throttle,
                     operand_metas,
                     self.cell_timeout,
@@ -330,9 +333,19 @@ class CampaignRunner:
         ]
         for p in procs:
             p.start()
+        feeds = [parent_end for parent_end, _ in pipes]
+        for _, child_end in pipes:
+            child_end.close()
         try:
-            while any(p.is_alive() for p in procs):
-                time.sleep(_POLL_SECONDS)
+            # a worker's pipe closes when it exits, however it exits
+            while feeds:
+                for conn in wait(feeds, timeout=_POLL_SECONDS):
+                    try:
+                        conn.recv()
+                        conn.send(todo.popleft() if todo else None)
+                    except (EOFError, OSError):  # the worker exited
+                        feeds.remove(conn)
+                        conn.close()
                 if self.progress is not None:
                     done = sum(
                         path.read_text(encoding="utf-8").count("\n")
@@ -354,6 +367,8 @@ class CampaignRunner:
                 p.join(timeout=10)
             raise
         finally:
+            for conn in feeds:
+                conn.close()
             # the owner unlinks unconditionally, and the sweep also
             # reclaims segments a previous SIGKILLed invocation leaked
             # for matrices this one never re-exported

@@ -1,4 +1,4 @@
-"""Campaign worker: executes cells pulled from a shared queue.
+"""Campaign worker: executes cells handed out by the runner.
 
 Each worker process rebuilds its matrices from the (deterministic,
 seeded) generators, runs one cell at a time through the bench harness,
@@ -10,11 +10,11 @@ document.
 
 Liveness is observable and termination is graceful:
 
-* An empty queue no longer makes a worker vanish silently after 60 s.
-  The worker polls, appends ``heartbeat`` diagnostic lines to its shard
+* An idle worker never vanishes silently while it waits for work.  It
+  polls, appends ``heartbeat`` diagnostic lines to its shard
   while idle, and — once the starvation window elapses — checkpoints a
   typed :class:`~repro.resilience.errors.WorkerStarved` diagnostic
-  before exiting, so a wedged queue (dead parent, lost sentinel) is
+  before exiting, so a wedged hand-out (a runner that stops answering) is
   attributable post-mortem.  Diagnostic lines carry no ``id``/``key``
   and are therefore invisible to the resume/merge machinery.
 * ``SIGTERM`` drains: the in-flight cell finishes and is fsynced to the
@@ -58,6 +58,35 @@ from .plan import (
 from .store import ShardWriter
 
 __all__ = ["campaign_trace_meta", "execute_cell", "worker_main"]
+
+
+class CellFeed:
+    """A worker's end of its private cell hand-out pipe to the runner.
+
+    Quacks like the queue :func:`worker_main` reads: :meth:`get` asks
+    the runner for the next cell index once, then waits up to
+    ``timeout`` seconds for the answer and raises ``queue.Empty`` on
+    time-out.  A pipe needs no POSIX named semaphore, so a SIGKILLed
+    campaign leaks nothing in ``/dev/shm``.  A closed pipe means the
+    runner is gone and reads as the ``None`` sentinel.
+    """
+
+    def __init__(self, conn) -> None:
+        self.conn = conn
+        self._asked = False
+
+    def get(self, timeout: float):
+        try:
+            if not self._asked:
+                self.conn.send(None)  # ready for a cell
+                self._asked = True
+            if not self.conn.poll(timeout):
+                raise queue_mod.Empty
+            index = self.conn.recv()
+        except (EOFError, OSError):  # the runner is gone
+            return None
+        self._asked = False
+        return index
 
 
 def campaign_trace_meta(config: CampaignConfig) -> dict:

@@ -89,9 +89,6 @@ class AcSpgemmOptions:
     path_merge_max_chunks: int = 8
     validate_inputs: bool = True
     col_index_bytes: int = 4  # 32-bit column ids, as in the CUDA artifact
-    #: collect a per-kernel execution trace (the artifact's Debug mode);
-    #: the trace is attached to the result as ``result.trace``
-    collect_trace: bool = False
     #: host execution engine for the block-level stages: ``"reference"``
     #: steps one simulated block at a time, ``"batched"`` fuses all ready
     #: blocks of a launch into flat numpy batches, ``"process"`` runs
@@ -118,7 +115,8 @@ class AcSpgemmOptions:
     #: events with SM placement, scratchpad high-water and sort shapes,
     #: plus per-record counter attribution.  Byte-identical across all
     #: three engines and zero-cost when off; attached to the result as
-    #: ``result.device_trace``
+    #: ``result.device_trace``.  Its per-stage kernel timeline is the
+    #: artifact's Debug mode (``repro.obs.device.stage_timeline_events``)
     device_trace: bool = False
 
     def __post_init__(self) -> None:

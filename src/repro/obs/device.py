@@ -27,6 +27,10 @@ across the three engines** — every field derives from engine-invariant
 data — and zero-cost when ``AcSpgemmOptions.device_trace`` is off.  A
 run that degrades to the fallback keeps its partial records and carries
 an explicit truncation marker.
+
+The trace renders two Perfetto views: :func:`stage_timeline_events`, the
+per-stage kernel timeline of the artifact's "Debug" mode (Appendix
+A.4), and :meth:`DeviceTrace.to_perfetto_events`, the per-SM tracks.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ import json
 from dataclasses import dataclass, field, replace
 
 from ..gpu.counters import TrafficCounters
+from ..gpu.scheduler import KernelTiming
 
 __all__ = [
     "DEVICE_TRACE_SCHEMA",
@@ -44,14 +49,21 @@ __all__ = [
     "DeviceRecord",
     "DeviceTrace",
     "merge_device_traces",
+    "stage_timeline_events",
 ]
 
 #: bump when the serialised trace layout changes incompatibly
 DEVICE_TRACE_SCHEMA = 1
 
-#: Perfetto process id for the per-SM tracks (host spans use 2, the
-#: kernel-launch timeline uses 1 — see ``repro.obs.export``)
+#: Perfetto process ids of the two device views: the per-stage kernel
+#: timeline and the per-SM tracks (host spans use 2 — see
+#: ``repro.obs.export``)
+DEVICE_STAGE_PID = 1
 DEVICE_SM_PID = 3
+
+#: minimum rendered width (us) of a zero-duration stage slice, so the
+#: slice stays clickable in the Perfetto UI
+MIN_VISIBLE_DUR_US = 1e-3
 
 #: worker-id namespace stride per device ordinal when traces from a
 #: multi-device run are merged into one report: block/worker ids of
@@ -611,6 +623,130 @@ class DeviceTrace:
                     }
                 )
         return events
+
+
+def stage_timeline_events(
+    trace: DeviceTrace, pid: int = DEVICE_STAGE_PID
+) -> list[dict]:
+    """The per-stage kernel timeline of ``trace`` in Chrome trace format.
+
+    One slice per record on a thread row per pipeline stage, with the
+    record's exact cycles, the launch's dispatched block count,
+    multiprocessor load (from ``sm_busy``) and longest block as args
+    (so per-stage ``cycles`` sums equal ``result.stage_cycles``
+    exactly, whatever widening the slice got); a cumulative global-traffic
+    counter sampled at each record's end; and one instant event per
+    ``host`` record (restart) on tid 0.  Zero-duration slices are
+    widened to :data:`MIN_VISIBLE_DUR_US` **only up to the start of the
+    next slice on the same row**, so back-to-back zero-cycle records
+    never overlap.  Timestamps are microseconds on the simulated clock.
+    """
+    us = 1e6 / (trace.clock_ghz * 1e9)
+    records = trace.records
+    tid_of = {
+        stage: i + 1
+        for i, stage in enumerate(dict.fromkeys(r.stage for r in records))
+    }
+    # per-row widening budget: a slice may grow at most to the start of
+    # the next slice on its own tid
+    next_start: dict[int, float] = {}
+    budget = [float("inf")] * len(records)
+    for i in range(len(records) - 1, -1, -1):
+        tid = tid_of[records[i].stage]
+        ts = records[i].start_cycle * us
+        if tid in next_start:
+            budget[i] = next_start[tid] - ts
+        next_start[tid] = ts
+    events: list[dict] = []
+    bytes_read = bytes_written = 0
+    last_blocks: tuple = ()  # the launch a restart re-runs part of
+    for i, rec in enumerate(records):
+        dur = rec.cycles * us
+        if dur <= 0.0:
+            dur = max(0.0, min(MIN_VISIBLE_DUR_US, budget[i]))
+        dispatched = [ev.cycles for ev in rec.blocks if ev.sm >= 0]
+        timing = KernelTiming(rec.cycles, rec.sm_busy, len(dispatched))
+        events.append(
+            {
+                "name": f"{rec.stage}#{i}",
+                "cat": "kernel",
+                "ph": "X",
+                "ts": rec.start_cycle * us,
+                "dur": dur,
+                "pid": pid,
+                "tid": tid_of[rec.stage],
+                "args": {
+                    "cycles": rec.cycles,
+                    "blocks": len(dispatched),
+                    "mp_load": timing.multiprocessor_load,
+                    "max_block_cycles": max(dispatched, default=0.0),
+                },
+            }
+        )
+        for c in (rec.counters, *(ev.counters for ev in rec.blocks)):
+            bytes_read += c.get("global_bytes_read", 0)
+            bytes_written += c.get("global_bytes_written", 0)
+        if bytes_read or bytes_written:
+            events.append(
+                {
+                    "name": "global traffic (cumulative)",
+                    "ph": "C",
+                    "ts": (rec.start_cycle + rec.cycles) * us,
+                    "pid": pid,
+                    "tid": 0,
+                    "args": {
+                        "bytes_read": bytes_read,
+                        "bytes_written": bytes_written,
+                    },
+                }
+            )
+        if rec.kind == "launch":
+            last_blocks = rec.blocks
+        elif rec.kind == "host":
+            pending = sum(not ev.done for ev in last_blocks)
+            unit = "blocks" if rec.stage == "ESC" else "workers"
+            events.append(
+                {
+                    "name": rec.label,
+                    "cat": "event",
+                    "ph": "i",
+                    "ts": rec.start_cycle * us,
+                    "pid": pid,
+                    "tid": 0,
+                    "s": "g",
+                    "args": {
+                        "detail": f"pool grown to {rec.pool_capacity_bytes} B, "
+                        f"{pending} {unit} pending"
+                    },
+                }
+            )
+    meta = [
+        {
+            "name": "process_name",
+            "ph": "M",
+            "pid": pid,
+            "tid": 0,
+            "args": {"name": "simulated device"},
+        },
+        {
+            "name": "thread_name",
+            "ph": "M",
+            "pid": pid,
+            "tid": 0,
+            "args": {"name": "host events"},
+        },
+    ]
+    meta.extend(
+        {
+            "name": "thread_name",
+            "ph": "M",
+            "pid": pid,
+            "tid": tid,
+            "args": {"name": f"stage {stage}"},
+        }
+        for stage, tid in tid_of.items()
+    )
+    return meta + events
 
 
 def merge_device_traces(entries, *, clock_ghz: float, total_sms: int) -> DeviceTrace:

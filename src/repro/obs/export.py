@@ -1,20 +1,24 @@
 """Exposition-format exports of the unified observability data:
 Perfetto / chrome://tracing JSON plus Prometheus text-format helpers.
 
-One payload merges two process rows:
+The payload of one run holds three process rows (plus the request and
+routing rows described in :func:`perfetto_payload`):
 
-* **pid 1 — simulated device**: the per-stage kernel timeline of
-  :class:`~repro.bench.trace.TraceRecorder` (one thread row per stage,
-  instant events on tid 0);
+* **pid 1 — simulated device**: the per-stage kernel timeline, a view
+  over the :class:`~repro.obs.device.DeviceTrace` records (one thread
+  row per stage, restart instants and the cumulative global-traffic
+  counter on tid 0; :func:`~repro.obs.device.stage_timeline_events`);
 * **pid 2 — pipeline spans**: the driver's nested host-side span tree
   (:mod:`repro.obs.span`) as ``X`` events on a single track — Perfetto
   nests contained slices automatically — plus span events (restarts,
-  aborts, degradation) as instant events.
+  aborts, degradation) as instant events;
+* **pid 3 — per-SM tracks** of the same device trace, plus the
+  chunk-pool occupancy and scratchpad counters.
 
 :func:`validate_perfetto` is the schema check used by the tests and CI:
 it verifies the JSON object model and that ``X`` slices on one
 ``(pid, tid)`` row are either disjoint or properly nested — the exact
-property the old zero-duration clamp in ``to_chrome_trace`` violated.
+property an unconditional zero-duration clamp would violate.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ import json
 import re
 from pathlib import Path
 
+from .device import stage_timeline_events
 from .span import Span
 
 __all__ = [
@@ -190,7 +195,6 @@ def parse_prometheus_text(text: str) -> dict:
         "exemplars": exemplars,
     }
 
-DEVICE_PID = 1
 SPAN_PID = 2
 REQUEST_PID = 4
 ROUTING_PID = 5
@@ -329,34 +333,30 @@ def routing_events(
 def perfetto_payload(
     *,
     spans: Span | None = None,
-    trace=None,
     device=None,
     request=None,
     routing: dict | None = None,
     clock_ghz: float | None = None,
 ) -> dict:
-    """Combined Perfetto JSON object for spans, kernel and device traces.
+    """Combined Perfetto JSON object for spans and device traces.
 
-    ``device`` is a :class:`~repro.obs.device.DeviceTrace`; it adds a
-    third process row (pid 3) with one thread per SM plus counter
-    tracks (scratchpad bytes, chunk-pool occupancy).  ``request`` is a
+    ``device`` is a :class:`~repro.obs.device.DeviceTrace`; it adds the
+    per-stage kernel timeline (pid 1) and one thread per SM plus counter
+    tracks (pid 3: scratchpad bytes, chunk-pool occupancy).  ``request`` is a
     :class:`~repro.obs.trace.RequestTrace` (pid 4, wall-clock request
     timeline) and ``routing`` a selector dispatch event
     (``result.routing_audit``, pid 5).
     """
     if (
-        spans is None and trace is None and device is None
+        spans is None and device is None
         and request is None and routing is None
     ):
         raise ValueError(
-            "need at least one of spans, trace, device, request or routing"
+            "need at least one of spans, device, request or routing"
         )
     events: list[dict] = []
-    if trace is not None:
-        events.extend(trace.to_events(pid=DEVICE_PID))
-        if clock_ghz is None:
-            clock_ghz = trace.clock_ghz
     if device is not None:
+        events.extend(stage_timeline_events(device))
         events.extend(device.to_perfetto_events())
         if clock_ghz is None:
             clock_ghz = device.clock_ghz

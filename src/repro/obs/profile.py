@@ -1,11 +1,12 @@
 """The ``repro profile`` workload: one instrumented run, three exports.
 
-:func:`profile_run` executes AC-SpGEMM with tracing forced on and wraps
-the result in a :class:`ProfileReport`, which renders
+:func:`profile_run` executes AC-SpGEMM with the device trace forced on
+and wraps the result in a :class:`ProfileReport`, which renders
 
 * a human-readable per-stage report (:meth:`ProfileReport.text`),
-* a merged Perfetto timeline of the device trace and the pipeline span
-  tree (:meth:`ProfileReport.write_trace`),
+* a merged Perfetto timeline (:meth:`ProfileReport.write_trace`): the
+  per-stage kernel rows and per-SM tracks, both views over the device
+  trace, plus the pipeline span tree,
 * the :class:`~repro.obs.metrics.MetricsRegistry` as a JSON document or
   Prometheus text file (:meth:`ProfileReport.write_metrics_json` /
   :meth:`ProfileReport.write_prometheus`).
@@ -45,8 +46,8 @@ def profile_run(
 ) -> "ProfileReport":
     """Run ``A @ B`` with full instrumentation and wrap the result."""
     opts = options or DEFAULT_OPTIONS
-    if not opts.collect_trace:
-        opts = dataclasses.replace(opts, collect_trace=True)
+    if not opts.device_trace:
+        opts = dataclasses.replace(opts, device_trace=True)
     result = ac_spgemm(a, b, opts)
     return ProfileReport(result=result, options=opts, matrix_name=matrix_name)
 
@@ -126,11 +127,10 @@ class ProfileReport:
     # -- file exports -------------------------------------------------
 
     def trace_payload(self) -> dict:
-        """Merged Perfetto JSON object (device timeline + span tree,
-        plus per-SM tracks when the device trace was collected)."""
+        """Merged Perfetto JSON object: the per-stage kernel timeline,
+        the span tree and the per-SM tracks."""
         return perfetto_payload(
             spans=self.result.spans,
-            trace=self.result.trace,
             device=self.result.device_trace,
             clock_ghz=self.result.clock_ghz,
         )

@@ -269,11 +269,18 @@ class TestMetrics:
 # ---------------------------------------------------------- kill/resume
 
 
+def _posix_semaphores() -> set[str]:
+    """Names of the multiprocessing named semaphores in /dev/shm."""
+    shm = Path("/dev/shm")
+    return {p.name for p in shm.glob("sem.mp-*")} if shm.is_dir() else set()
+
+
 class TestKillResume:
     def test_sigkill_mid_sweep_then_resume_byte_identical(self, tmp_path):
         """Satellite 5: SIGKILL a 2-worker campaign mid-sweep, rerun,
         and the merged artifact is byte-identical to an uninterrupted
         run, with every pre-kill cell served from the checkpoints."""
+        semaphores_before = _posix_semaphores()
         camp = tmp_path / "interrupted"
         env = dict(os.environ)
         src = str(Path(__file__).resolve().parent.parent / "src")
@@ -317,6 +324,9 @@ class TestKillResume:
             resumed.artifact_path.read_bytes()
             == clean.artifact_path.read_bytes()
         )
+        # the kill took the resource tracker down with it: nothing the
+        # campaign hands out may rest on a named semaphore it would leak
+        assert _posix_semaphores() <= semaphores_before
 
 
 # ------------------------------------------------- liveness and drain

@@ -325,10 +325,9 @@ class TestAnalyze:
 class TestPerfettoExport:
     def test_device_tracks_validate(self, rng):
         a, b = _pair(rng)
-        res = ac_spgemm(a, b, _opts(collect_trace=True))
+        res = ac_spgemm(a, b, _opts())
         payload = perfetto_payload(
             spans=res.spans,
-            trace=res.trace,
             device=res.device_trace,
             clock_ghz=res.clock_ghz,
         )
@@ -338,23 +337,15 @@ class TestPerfettoExport:
         assert any(e["ph"] == "C" for e in dev)
         sms = {e["tid"] for e in dev if e["ph"] == "X"}
         assert sms and all(tid >= 1 for tid in sms)
-
-    def test_counter_tracks_without_device_trace(self, rng):
-        """Satellite: pool/traffic counters ride the plain kernel trace."""
-        a, b = _pair(rng)
-        res = ac_spgemm(
-            a, b,
-            AcSpgemmOptions(device=SMALL_DEVICE, collect_trace=True),
-        )
-        payload = perfetto_payload(
-            spans=res.spans, trace=res.trace, clock_ghz=res.clock_ghz
-        )
-        validate_perfetto(payload)
-        names = {
-            e["name"] for e in payload["traceEvents"] if e["ph"] == "C"
+        # counter tracks: pool occupancy once, on the per-SM process;
+        # cumulative traffic on the per-stage timeline
+        counters = {
+            (e["pid"], e["name"])
+            for e in payload["traceEvents"] if e["ph"] == "C"
         }
-        assert "chunk pool occupancy" in names
-        assert "global traffic (cumulative)" in names
+        assert (3, "chunk pool occupancy") in counters
+        assert (1, "chunk pool occupancy") not in counters
+        assert (1, "global traffic (cumulative)") in counters
 
     def test_validator_rejects_bad_counter(self):
         bad = {
