@@ -1,15 +1,12 @@
-"""§5 future-work extensions, quantified.
+"""§5 future-work extension, quantified: chunk-memory overallocation.
 
-1. **Chunk-memory overallocation** — the paper: "An obvious improvement
-   for our approach is reducing the overallocation of chunk memory."
-   We compare the paper's uniform estimate (100 MB lower bound) with the
-   sampling-based estimator on the named collection: allocation shrinks
-   by an order of magnitude while restarts stay rare.
-
-2. **Adaptive strategy selection** — "choosing between alternative
-   approaches (ESC, hashing, ...) may lead to a further improvement ...
-   where other strategies shine."  The hybrid dispatcher should track
-   the better of AC-SpGEMM and nsparse on both sides of the crossover.
+The paper: "An obvious improvement for our approach is reducing the
+overallocation of chunk memory."  We compare the paper's uniform
+estimate (100 MB lower bound) with the sampling-based estimator on the
+named collection: allocation shrinks by an order of magnitude while
+restarts stay rare.  The other §5 extension, adaptive strategy
+selection, is the ``adaptive`` backend, graded by
+``benchmarks/bench_selector.py``.
 """
 
 from __future__ import annotations
@@ -19,7 +16,6 @@ from conftest import run_once
 
 from repro import AcSpgemmOptions, ac_spgemm
 from repro.bench import format_table, named_cases, write_csv
-from repro.baselines import HybridAdaptive, make_algorithm
 from repro.core import estimate_chunk_pool_bytes, sampled_chunk_pool_bytes
 
 EST_HEADERS = [
@@ -67,47 +63,3 @@ def test_sampled_estimator_reduces_overallocation(benchmark, results_dir):
     assert sum(r[5] for r in rows) <= len(rows)
     # and never undershoot what is actually used by more than growth
     # can recover (every run completed, so this is implicit)
-
-
-HY_HEADERS = ["matrix", "regime", "ac_s", "nsparse_s", "hybrid_s", "dispatched"]
-
-
-def _hybrid_rows():
-    from repro.matrices import random_uniform
-
-    cases = [
-        ("sparse-a5", "sparse", random_uniform(4000, 4000, 5, seed=21)),
-        ("sparse-a12", "sparse", random_uniform(1500, 1500, 12, seed=22)),
-        ("dense-a64", "dense", random_uniform(1100, 1100, 64, seed=23)),
-        ("dense-a96", "dense", random_uniform(700, 700, 96, seed=24)),
-    ]
-    rows = []
-    for name, regime, m in cases:
-        ac = make_algorithm("ac-spgemm").multiply(m, m)
-        ns = make_algorithm("nsparse").multiply(m, m)
-        hy = HybridAdaptive().multiply(m, m)
-        rows.append(
-            (
-                name,
-                regime,
-                round(ac.seconds * 1e6, 1),
-                round(ns.seconds * 1e6, 1),
-                round(hy.seconds * 1e6, 1),
-                hy.dispatched_to,
-            )
-        )
-    return rows
-
-
-def test_hybrid_tracks_the_winner(benchmark, results_dir):
-    rows = run_once(benchmark, _hybrid_rows)
-    write_csv(results_dir / "ext_hybrid.csv", HY_HEADERS, rows)
-    print()
-    print(format_table(HY_HEADERS, rows, title="Hybrid dispatcher (µs simulated)"))
-    for name, regime, ac_s, ns_s, hy_s, target in rows:
-        better = min(ac_s, ns_s)
-        assert hy_s <= better * 1.1, name  # within dispatch overhead
-        if regime == "sparse":
-            assert target == "ac-spgemm", name
-        else:
-            assert target == "nsparse", name

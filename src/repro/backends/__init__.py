@@ -1,29 +1,22 @@
-"""First-class SpGEMM engine registry and adaptive selection.
+"""First-class SpGEMM engine table and adaptive selection.
 
-See ``docs/ARCHITECTURE.md`` §10.  Importing this package registers
-the built-in engines: ``ac-spgemm``, ``hash-spgemm`` (nsparse-style
-binned scratchpad hash), ``hashmap-spgemm`` (Deveci-style multi-level
+See ``docs/ARCHITECTURE.md`` §10.  ``BACKENDS`` holds the built-in
+engines: ``ac-spgemm``, ``hash-spgemm`` (nsparse-style binned
+scratchpad hash), ``hashmap-spgemm`` (Deveci-style multi-level
 hashmap) and ``adaptive`` (per-multiply routing over the other three).
 """
 
 from .base import Backend
-from .registry import (
-    available_backends,
-    get_backend,
-    is_backend,
-    register_backend,
-    run_backend,
-)
+from .registry import BACKENDS, available_backends, get_backend, run_backend
 from .selector import AdaptiveSelector, SelectionFeatures, collect_features
 
 __all__ = [
     "AdaptiveSelector",
+    "BACKENDS",
     "Backend",
     "SelectionFeatures",
     "available_backends",
     "collect_features",
     "get_backend",
-    "is_backend",
-    "register_backend",
     "run_backend",
 ]

@@ -15,12 +15,10 @@ from ..core.options import AcSpgemmOptions, DEFAULT_OPTIONS
 from ..gpu.radix import bits_required
 from ..gpu.scheduler import schedule_blocks
 from .base import Backend
-from .registry import register_backend
 
 __all__ = ["AcSpgemmBackend"]
 
 
-@register_backend
 class AcSpgemmBackend(Backend):
     """The paper's adaptive chunk-based ESC pipeline."""
 

@@ -55,7 +55,6 @@ from ..obs.device import BlockMeta, DeviceTrace
 from ..obs.span import SpanRecorder
 from ..sparse.validate import validate_csr
 from .base import Backend
-from .registry import register_backend
 
 __all__ = ["NsparseHashBackend", "DeveciHashmapBackend"]
 
@@ -297,7 +296,6 @@ class _SimulatedHashEngine(Backend):
         return total
 
 
-@register_backend
 class NsparseHashBackend(_SimulatedHashEngine):
     """Binned scratchpad-hash engine (nsparse / balanced hash style)."""
 
@@ -473,7 +471,6 @@ class NsparseHashBackend(_SimulatedHashEngine):
         return ops, info
 
 
-@register_backend
 class DeveciHashmapBackend(_SimulatedHashEngine):
     """Two-level linked-list hashmap engine (Deveci et al. style)."""
 

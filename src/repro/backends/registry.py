@@ -1,74 +1,45 @@
-"""Plugin-style registry of first-class SpGEMM backends.
+"""The table of first-class SpGEMM backends.
 
-Engines self-register at import time via the :func:`register_backend`
-decorator; consumers look them up by name.  The registry deliberately
-mirrors the lightweight plugin-registry shape (a module-level dict, a
-registration decorator with duplicate detection, and enumeration
-helpers) rather than an entry-point mechanism: every engine ships in
-this package and determinism matters more than late binding.
-
-``available_backends()`` is the single source of truth for what
-``--engine`` accepts beyond the host execution engines, what the
-campaign validates against, and what the CI registry smoke enumerates.
+``BACKENDS`` is the one list of full engines that take pipeline
+options: what ``--engine`` accepts beyond the host execution engines,
+what the campaign validates against, what ``repro.baselines`` wraps
+for the line-up, and what the CI registry smoke enumerates.  Names are
+fixed here, so ``name in BACKENDS`` imports nothing; each class is
+imported on first lookup.  Adding an engine means adding one entry.
 """
 
 from __future__ import annotations
 
-__all__ = [
-    "register_backend",
-    "get_backend",
-    "available_backends",
-    "is_backend",
-    "run_backend",
-]
+from collections.abc import Mapping
+
+from ..engine import _Registry
+
+__all__ = ["BACKENDS", "get_backend", "available_backends", "run_backend"]
 
 #: name -> Backend subclass (not instance: backends are stateless, but
 #: a fresh instance per lookup keeps accidental state from leaking)
-_BACKENDS: dict[str, type] = {}
-
-
-def register_backend(cls):
-    """Class decorator: register a :class:`~repro.backends.base.Backend`.
-
-    Raises on duplicate names — two engines silently shadowing each
-    other is exactly the failure mode a registry exists to prevent.
-    """
-    name = getattr(cls, "name", None)
-    if not name or name == "abstract":
-        raise ValueError(f"backend {cls.__name__} must set a concrete name")
-    if name in _BACKENDS:
-        raise ValueError(
-            f"duplicate backend name {name!r}: "
-            f"{_BACKENDS[name].__name__} is already registered"
-        )
-    _BACKENDS[name] = cls
-    return cls
-
-
-def _ensure_loaded() -> None:
-    """Import the engine modules so their decorators have run."""
-    from . import acspgemm_backend, hash_engines, selector  # noqa: F401
+BACKENDS: Mapping[str, type] = _Registry(
+    {
+        "ac-spgemm": ".acspgemm_backend:AcSpgemmBackend",
+        "adaptive": ".selector:AdaptiveSelector",
+        "hash-spgemm": ".hash_engines:NsparseHashBackend",
+        "hashmap-spgemm": ".hash_engines:DeveciHashmapBackend",
+    },
+    package=__package__,
+)
 
 
 def available_backends() -> tuple[str, ...]:
-    """Registered backend names, sorted for deterministic enumeration."""
-    _ensure_loaded()
-    return tuple(sorted(_BACKENDS))
-
-
-def is_backend(name: str) -> bool:
-    """True when ``name`` is a registered backend."""
-    _ensure_loaded()
-    return name in _BACKENDS
+    """Backend names, sorted for deterministic enumeration."""
+    return tuple(sorted(BACKENDS))
 
 
 def get_backend(name: str):
     """A fresh instance of the backend registered under ``name``."""
-    _ensure_loaded()
     try:
-        cls = _BACKENDS[name]
+        cls = BACKENDS[name]
     except KeyError:
-        known = ", ".join(sorted(_BACKENDS))
+        known = ", ".join(available_backends())
         raise KeyError(f"unknown backend {name!r}; registered: {known}") from None
     return cls()
 

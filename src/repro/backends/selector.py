@@ -25,11 +25,12 @@ from ..obs.flight import get_flight_recorder
 from ..obs.span import SpanRecorder
 from ..obs.trace import current_trace_attrs, trace_note
 from .base import Backend
-from .registry import get_backend, register_backend
+from .registry import get_backend
 
 __all__ = ["SelectionFeatures", "collect_features", "AdaptiveSelector"]
 
-#: rows of B sampled for the column-span probe (as in HybridAdaptive)
+#: rows of B sampled for the column-span probe: enough to measure a
+#: B-row column spread at O(1) cost regardless of the matrix size
 SPAN_SAMPLE_ROWS = 64
 
 
@@ -54,7 +55,7 @@ class SelectionFeatures:
     #: temp products per (estimated) output entry — the compaction ratio
     compaction: float
     #: mean sampled B-row column spread over the matrix width (0.0 for
-    #: width-degenerate B — the guard HybridAdaptive was missing)
+    #: width-degenerate B, which has no span to measure)
     span_fraction: float
     row_temps: np.ndarray = field(repr=False, default=None)
     row_lengths_a: np.ndarray = field(repr=False, default=None)
@@ -114,7 +115,6 @@ def collect_features(a, b, meter=None, *, seed: int = 0) -> SelectionFeatures:
     )
 
 
-@register_backend
 class AdaptiveSelector(Backend):
     """Route each multiply to the engine predicting the fewest cycles."""
 
@@ -126,22 +126,17 @@ class AdaptiveSelector(Backend):
     #: bit-stable reference engine wins exact ties
     candidates = ("ac-spgemm", "hash-spgemm", "hashmap-spgemm")
 
-    def select(self, features, options: AcSpgemmOptions | None = None) -> str:
-        """The candidate with the lowest predicted cycle count."""
-        opts = options or DEFAULT_OPTIONS
+    def select(self, features, preds: dict[str, float]) -> str:
+        """The candidate with the lowest predicted cycle count in
+        ``preds`` (as returned by :meth:`predictions`); the first in
+        ``candidates`` order wins ties."""
         if features.temp_products == 0:
             # nothing to multiply: any engine is free; keep bit-stable
             return self.candidates[0]
-        best_name = None
-        best = float("inf")
-        for name in self.candidates:
-            predicted = get_backend(name).predict_cycles(features, opts)
-            if predicted < best:
-                best_name, best = name, predicted
-        return best_name
+        return min(self.candidates, key=preds.__getitem__)
 
     def predictions(self, features, options: AcSpgemmOptions | None = None):
-        """Per-candidate predicted cycles (bench/debug helper)."""
+        """Per-candidate predicted cycles."""
         opts = options or DEFAULT_OPTIONS
         return {
             name: get_backend(name).predict_cycles(features, opts)
@@ -149,11 +144,7 @@ class AdaptiveSelector(Backend):
         }
 
     def predict_cycles(self, features, options: AcSpgemmOptions | None = None) -> float:
-        opts = options or DEFAULT_OPTIONS
-        return min(
-            get_backend(name).predict_cycles(features, opts)
-            for name in self.candidates
-        )
+        return min(self.predictions(features, options).values())
 
     def run(self, a, b, options=None, *, spans=None, dtrace=None, scheduler_seed=0):
         opts = options or DEFAULT_OPTIONS
@@ -184,7 +175,7 @@ class AdaptiveSelector(Backend):
         probe = self._fresh_meter(opts)
         features = collect_features(a, b, probe)
         preds = self.predictions(features, opts)
-        choice = self.select(features, opts)
+        choice = self.select(features, preds)
         trace_note("selector.choice", choice)
         sel_cycles = (
             probe.cycles

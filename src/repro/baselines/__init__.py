@@ -2,7 +2,7 @@
 reimplemented on the shared simulated device for apples-to-apples
 comparison with AC-SpGEMM."""
 
-from .acspgemm_adapter import AcSpgemm
+from .adapter import BackendAlgorithm
 from .balanced_hash import BalancedHash
 from .base import (
     SpGEMMAlgorithm,
@@ -14,7 +14,6 @@ from .bhsparse import BhSparse
 from .cusparse_like import CusparseLike
 from .esc_global import EscGlobal
 from .gustavson import GustavsonCPU
-from .hybrid import HybridAdaptive
 from .kokkos_like import KokkosLike
 from .mkl_like import MklLikeCPU
 from .nsparse import NsparseHash
@@ -24,14 +23,13 @@ from .util import row_temp_counts
 
 __all__ = [
     "ALL_ALGORITHMS",
-    "AcSpgemm",
+    "BackendAlgorithm",
     "BalancedHash",
     "BhSparse",
     "CusparseLike",
     "EscGlobal",
     "GPU_ALGORITHMS",
     "GustavsonCPU",
-    "HybridAdaptive",
     "KokkosLike",
     "MklLikeCPU",
     "NsparseHash",

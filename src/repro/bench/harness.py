@@ -23,6 +23,8 @@ try:  # POSIX-only; cache locking degrades gracefully elsewhere
 except ImportError:  # pragma: no cover - non-POSIX platforms
     fcntl = None
 
+from ..backends.registry import BACKENDS
+from ..baselines.adapter import BackendAlgorithm
 from ..baselines.base import SpGEMMAlgorithm
 from ..baselines.registry import make_algorithm
 from ..sparse.csr import CSRMatrix
@@ -231,7 +233,7 @@ class ResultCache:
         """Return the memoised record, executing the cell on a miss.
 
         ``options`` (an :class:`~repro.core.options.AcSpgemmOptions`)
-        customises the AC-SpGEMM pipeline for this cell; it becomes part
+        customises a backend's pipeline for this cell; it becomes part
         of the cache key.
         """
         k = self.key(case.name, algorithm, np.dtype(dtype).name, options)
@@ -239,22 +241,12 @@ class ResultCache:
             return RunRecord.from_json(self._data[k])
         alg: str | SpGEMMAlgorithm = algorithm
         if options is not None:
-            from ..backends.adapter import BackendAlgorithm
-            from ..baselines.acspgemm_adapter import AcSpgemm
-            from ..baselines.registry import BACKEND_ALGORITHMS
-
-            if algorithm in BACKEND_ALGORITHMS:
-                alg = BackendAlgorithm(algorithm, options=options)
-            else:
-                base = make_algorithm(algorithm)
-                if not isinstance(base, AcSpgemm):
-                    raise ValueError(
-                        f"options only apply to ac-spgemm or a registered "
-                        f"backend, not {algorithm!r}"
-                    )
-                alg = AcSpgemm(
-                    device=base.device, costs=base.costs, options=options
+            if algorithm not in BACKENDS:
+                raise ValueError(
+                    f"options only apply to a registered backend, "
+                    f"not {algorithm!r}"
                 )
+            alg = BackendAlgorithm(algorithm, options=options)
         rec = run_case(case, alg, dtype, verify=verify)
         self._data[k] = rec.to_json()
         return rec

@@ -19,7 +19,8 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from ..baselines.registry import BACKEND_ALGORITHMS, GPU_ALGORITHMS
+from ..backends.registry import BACKENDS
+from ..baselines.registry import GPU_ALGORITHMS
 from ..bench.harness import CACHE_VERSION
 from ..matrices import generators as g
 from ..matrices.collection import NAMED_COLLECTION
@@ -89,7 +90,7 @@ class CampaignConfig:
             raise CampaignError(
                 f"unknown suite {self.suite!r}; expected one of {SUITES}"
             )
-        known = set(GPU_ALGORITHMS) | set(BACKEND_ALGORITHMS)
+        known = set(GPU_ALGORITHMS) | set(BACKENDS)
         unknown = set(self.algorithms) - known
         if unknown:
             raise CampaignError(f"unknown algorithms {sorted(unknown)}")

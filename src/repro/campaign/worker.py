@@ -38,6 +38,8 @@ import time
 import traceback
 from contextlib import nullcontext
 
+from ..backends.registry import BACKENDS
+from ..baselines.adapter import BackendAlgorithm
 from ..bench.harness import MatrixCase, run_case
 from ..obs.trace import (
     RequestTrace,
@@ -124,24 +126,12 @@ def _algorithm_for(cell: CellSpec, options):
     """Resolve the cell's algorithm, honouring non-default options.
 
     Mirrors :meth:`ResultCache.get_or_run`: pipeline options apply to
-    AC-SpGEMM and to the ``repro.backends`` engines (which run the same
-    pipeline options); the fixed-function baselines always run stock.
+    the ``repro.backends`` engines (AC-SpGEMM included); the
+    fixed-function baselines always run stock.
     """
-    from ..baselines.registry import BACKEND_ALGORITHMS
-
-    if options is None or (
-        cell.algorithm != "ac-spgemm" and cell.algorithm not in BACKEND_ALGORITHMS
-    ):
+    if options is None or cell.algorithm not in BACKENDS:
         return cell.algorithm
-    if cell.algorithm in BACKEND_ALGORITHMS:
-        from ..backends.adapter import BackendAlgorithm
-
-        return BackendAlgorithm(cell.algorithm, options=options)
-    from ..baselines.acspgemm_adapter import AcSpgemm
-    from ..baselines.registry import make_algorithm
-
-    base = make_algorithm(cell.algorithm)
-    return AcSpgemm(device=base.device, costs=base.costs, options=options)
+    return BackendAlgorithm(cell.algorithm, options=options)
 
 
 def _raise_cell_deadline(signum, frame):

@@ -30,8 +30,9 @@ from pathlib import Path
 
 import numpy as np
 
+from .backends import available_backends, run_backend
 from .baselines import GPU_ALGORITHMS, make_algorithm
-from .core import AcSpgemmOptions, ac_spgemm
+from .core import AcSpgemmOptions
 from .engine import ENGINES
 from .resilience import ReproError
 from .sparse import (
@@ -65,8 +66,9 @@ CSV_HEADERS = [
 #: host execution engines of the AC-SpGEMM pipeline (identical results)
 HOST_ENGINES = tuple(ENGINES)
 
-#: registered ``repro.backends`` engines selectable via ``--engine``
-BACKEND_ENGINES = ("adaptive", "hash-spgemm", "hashmap-spgemm")
+#: ``repro.backends`` engines selectable via ``--engine``; the host
+#: engines above run the ``ac-spgemm`` backend
+BACKEND_ENGINES = tuple(n for n in available_backends() if n != "ac-spgemm")
 
 ENGINE_CHOICES = HOST_ENGINES + BACKEND_ENGINES
 
@@ -103,12 +105,7 @@ def _run_one(
         sanitize=sanitize,
         on_failure="fallback" if fallback else "raise",
     )
-    if use_backend:
-        from .backends import run_backend
-
-        result = run_backend(engine, a, b, opts)
-    else:
-        result = ac_spgemm(a, b, opts)
+    result = run_backend(engine if use_backend else "ac-spgemm", a, b, opts)
     temp = count_intermediate_products(a, b)
     verified = ""
     if verify:
@@ -275,16 +272,10 @@ def cmd_analyze(args) -> int:
         on_failure="fallback" if args.fallback else "raise",
         device_trace=True,
     )
-    if use_backend:
-        from .backends import run_backend
-
-        result = run_backend(args.engine, a, b, opts)
-        label = args.engine
-        if result.dispatched_to:
-            label = f"{args.engine}->{result.dispatched_to}"
-    else:
-        result = ac_spgemm(a, b, opts)
-        label = ""
+    result = run_backend(args.engine if use_backend else "ac-spgemm", a, b, opts)
+    label = args.engine if use_backend else ""
+    if result.dispatched_to:
+        label = f"{label}->{result.dispatched_to}"
     report = analyze_result(result, opts, matrix_name=name, engine=label)
     print(report.text())
     if args.json_out:
@@ -319,7 +310,6 @@ def cmd_multinode(args) -> int:
     """Multi-device SUMMA run: pipelined rounds, link counters, verify."""
     import json as _json
 
-    from .backends import run_backend
     from .multi import NodeConfig, summa_spgemm
     from .obs.export import summa_perfetto_payload, write_perfetto
 
@@ -614,7 +604,7 @@ def main(argv=None) -> int:
     p.add_argument("--devices", type=int, default=4,
                    help="simulated devices P (perfect square; 1, 4, 9, ...)")
     p.add_argument("--backend", default="adaptive",
-                   choices=("ac-spgemm",) + BACKEND_ENGINES,
+                   choices=available_backends(),
                    help="registered backend executing each local tile "
                         "multiply ('adaptive' routes per tile)")
     p.add_argument("--engine", default="reference",
@@ -693,7 +683,7 @@ def main(argv=None) -> int:
                    choices=HOST_ENGINES,
                    help="primary execution engine (identical results)")
     p.add_argument("--backend", default="ac-spgemm",
-                   choices=("ac-spgemm",) + BACKEND_ENGINES,
+                   choices=available_backends(),
                    help="registered backend serving primary multiplies "
                         "('adaptive' routes each request per its structure)")
     p.add_argument("--executors", type=int, default=2,

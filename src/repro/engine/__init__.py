@@ -39,17 +39,21 @@ from importlib import import_module
 
 
 class _Registry(Mapping):
-    """Engine name -> class.  The names are fixed here, so ``name in
-    ENGINES`` imports nothing; each class is imported on first lookup."""
+    """Name -> class.  The names are fixed at construction, so ``name in
+    registry`` imports nothing; each class is imported on first lookup
+    from its ``module:Class`` path, relative to ``package``."""
 
-    def __init__(self, paths: dict[str, str]):
+    def __init__(self, paths: dict[str, str], package: str = __name__):
         self._paths = paths
+        self._package = package
         self._classes: dict[str, type] = {}
 
     def __getitem__(self, name: str) -> type:
         if name not in self._classes:
             module, attr = self._paths[name].split(":")
-            self._classes[name] = getattr(import_module(module, __name__), attr)
+            self._classes[name] = getattr(
+                import_module(module, self._package), attr
+            )
         return self._classes[name]
 
     def __contains__(self, name) -> bool:

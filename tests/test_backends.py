@@ -2,8 +2,9 @@
 
 The contract being pinned down (docs/ARCHITECTURE.md §10):
 
-* the registry enumerates deterministically, hands out fresh instances
-  and rejects duplicate names;
+* the table enumerates deterministically and hands out fresh
+  instances, and every engine run through the line-up adapter is
+  byte-identical to running it directly;
 * every registered engine — including both simulated hash engines —
   produces a device trace that reconciles **exactly** against stage
   cycles, counters and spans (zero tolerance, the same invariant the
@@ -26,15 +27,14 @@ import pytest
 
 from repro import AcSpgemmOptions, CSRMatrix, ac_spgemm
 from repro.backends import (
+    BACKENDS,
     AdaptiveSelector,
     available_backends,
     collect_features,
     get_backend,
-    is_backend,
-    register_backend,
     run_backend,
 )
-from repro.backends.base import Backend
+from repro.baselines import BackendAlgorithm, make_algorithm
 from repro.matrices import generators as g
 from repro.obs.analyze import reconcile, stage_leaf_spans
 from repro.sparse.ops import spgemm_reference
@@ -59,8 +59,8 @@ class TestRegistry:
         assert names == tuple(sorted(names))
         for name in ENGINES:
             assert name in names
-            assert is_backend(name)
-        assert not is_backend("nope")
+            assert name in BACKENDS
+        assert "nope" not in BACKENDS
 
     def test_instances_are_fresh(self):
         assert get_backend("adaptive") is not get_backend("adaptive")
@@ -69,19 +69,26 @@ class TestRegistry:
         with pytest.raises(KeyError, match="adaptive"):
             get_backend("no-such-engine")
 
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(ValueError, match="adaptive"):
+    def test_table_names_match_classes(self):
+        assert set(BACKENDS) == set(available_backends()) == set(ENGINES)
+        for name in BACKENDS:
+            assert get_backend(name).name == name
 
-            @register_backend
-            class Dup(Backend):  # noqa: F811 - the point of the test
-                name = "adaptive"
-
-    def test_missing_name_rejected(self):
-        with pytest.raises(ValueError):
-
-            @register_backend
-            class NoName(Backend):
-                name = "abstract"
+    @pytest.mark.parametrize("name", ENGINES)
+    def test_adapter_is_faithful(self, name):
+        a, b = squared_operands(g.random_uniform(200, 200, 9, seed=81006))
+        alg = make_algorithm(name)
+        assert isinstance(alg, BackendAlgorithm)
+        run = alg.multiply(a, b)
+        res = run_backend(name, a, b)
+        for field in ("row_ptr", "col_idx", "values"):
+            assert (
+                getattr(run.matrix, field).tobytes()
+                == getattr(res.matrix, field).tobytes()
+            )
+        assert run.cycles == res.total_cycles
+        assert run.stage_cycles == res.stage_cycles
+        assert run.counters == res.counters
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +245,7 @@ class TestSelectorDegenerate:
         sel = AdaptiveSelector()
         f = collect_features(a, b)
         preds = sel.predictions(f)
-        assert sel.select(f) == min(preds, key=preds.get)
+        assert sel.select(f, preds) == min(preds, key=preds.get)
 
     def test_sel_stage_rides_along(self):
         a, b = squared_operands(g.random_uniform(150, 150, 6, seed=81021))
@@ -324,44 +331,6 @@ class TestSamplingEstimator:
 
 
 # ---------------------------------------------------------------------------
-# hybrid probe accounting (satellite fix)
-# ---------------------------------------------------------------------------
-
-
-class TestHybridProbeAccounting:
-    def test_b_cols_zero_routes_to_esc(self):
-        from repro.baselines.hybrid import HybridAdaptive
-
-        hy = HybridAdaptive()
-        a = random_csr(np.random.default_rng(4), 30, 20, 0.4)
-        b = _empty(20, 0)
-        assert hy.choose(a, b) == "esc"
-
-    def test_probe_counts_actual_sampled_reads(self):
-        from repro.baselines.hybrid import HybridAdaptive
-
-        hy = HybridAdaptive()
-        dense = random_csr(np.random.default_rng(5), 90, 90, 0.7)
-        decision, sampled_reads = hy._inspect(dense, dense)
-        # dense rows: every sampled row contributes ptr pair + 2 ids
-        step = max(1, dense.rows // hy.structure_sample_rows)
-        n_sampled = len(range(0, dense.rows, step))
-        assert sampled_reads == 4 * n_sampled
-        run = hy.multiply(dense, dense)
-        assert run.dispatched_to in ("ac-spgemm", "nsparse")
-        assert run.stage_cycles.get("dispatch", 0) > 0
-
-    def test_probe_skipped_below_threshold(self):
-        from repro.baselines.hybrid import HybridAdaptive
-
-        hy = HybridAdaptive()
-        sparse = random_csr(np.random.default_rng(6), 120, 120, 0.02)
-        decision, sampled_reads = hy._inspect(sparse, sparse)
-        assert decision == "esc"
-        assert sampled_reads == 0
-
-
-# ---------------------------------------------------------------------------
 # harness / campaign threading
 # ---------------------------------------------------------------------------
 
@@ -394,7 +363,6 @@ class TestDispatchThreading:
             CampaignConfig(suite="tiny", estimator="psychic")
 
     def test_worker_applies_options_to_backend_cells(self):
-        from repro.backends.adapter import BackendAlgorithm
         from repro.campaign.plan import CellSpec
         from repro.campaign.worker import _algorithm_for
         from repro.core.options import AcSpgemmOptions as Opts

@@ -1,70 +1,14 @@
-"""Tests for the §5 future-work extensions: the hybrid dispatcher, the
-sampling-based pool estimate, and the CLI runner."""
-
-import numpy as np
-import pytest
+"""Tests for the §5 future-work extensions: the sampling-based pool
+estimate, and the CLI runner.  The §5 adaptive selection is covered by
+``tests/test_backends.py``."""
 
 from repro import AcSpgemmOptions, CSRMatrix, ac_spgemm, spgemm_reference
-from repro.baselines import HybridAdaptive, make_algorithm
 from repro.core import (
     estimate_chunk_pool_bytes,
     sampled_chunk_pool_bytes,
     sampled_output_estimate,
 )
-from repro.matrices import banded, random_uniform
 from tests.conftest import random_csr
-
-
-class TestHybrid:
-    def test_registered(self):
-        assert make_algorithm("hybrid-adaptive").name == "hybrid-adaptive"
-
-    def test_dispatches_sparse_to_esc(self):
-        a = random_uniform(2000, 2000, 5, seed=1)
-        h = HybridAdaptive()
-        assert h.choose(a, a) == "esc"
-        run = h.multiply(a, a)
-        assert run.dispatched_to == "ac-spgemm"
-        assert run.bit_stable
-
-    def test_dispatches_dense_unstructured_to_hash(self):
-        a = random_uniform(1100, 1100, 64, seed=2)
-        h = HybridAdaptive()
-        assert h.choose(a, a) == "hash"
-        run = h.multiply(a, a)
-        assert run.dispatched_to == "nsparse"
-        assert not run.bit_stable
-
-    def test_structured_dense_stays_on_esc(self):
-        a = banded(600, 32, seed=3)  # wide rows but narrow column span
-        h = HybridAdaptive()
-        # narrow structure favours ESC despite average row length > 42
-        assert h.choose(a, a) == "esc"
-
-    def test_correct_both_paths(self, rng):
-        for a in (
-            random_uniform(400, 400, 4, seed=4),
-            random_uniform(300, 300, 60, seed=5),
-        ):
-            run = HybridAdaptive().multiply(a, a)
-            assert run.matrix.allclose(spgemm_reference(a, a))
-
-    def test_never_slower_than_worst(self):
-        """The point of the hybrid: close to the better of its two
-        children on both sides of the crossover."""
-        for a in (
-            random_uniform(3000, 3000, 5, seed=6),
-            random_uniform(1100, 1100, 64, seed=7),
-        ):
-            hy = HybridAdaptive().multiply(a, a).seconds
-            ac = make_algorithm("ac-spgemm").multiply(a, a).seconds
-            ns = make_algorithm("nsparse").multiply(a, a).seconds
-            assert hy <= max(ac, ns) * 1.05
-
-    def test_dimension_check(self, rng):
-        a = random_csr(rng, 3, 4, 0.5)
-        with pytest.raises(ValueError):
-            HybridAdaptive().multiply(a, a)
 
 
 class TestSampledEstimate:
