@@ -2,10 +2,13 @@
 
 A *backend* is a full simulated-GPU SpGEMM implementation: it runs
 through ``repro.gpu`` (scratchpad occupancy, traffic counters, kernel
-scheduling), emits a span tree, optionally records a device trace, and
-returns the same :class:`~repro.core.acspgemm.AcSpgemmResult` the
-AC-SpGEMM driver produces — so every downstream consumer (bench
-harness, campaign runner, serve daemon, analyzers) works unchanged.
+scheduling), reports every device event to one
+:class:`~repro.obs.record.RunRecorder` (which writes the span tree,
+the optional device trace, the stage cycles and the counters
+together), and returns the same
+:class:`~repro.core.acspgemm.AcSpgemmResult` the AC-SpGEMM driver
+produces — so every downstream consumer (bench harness, campaign
+runner, serve daemon, analyzers) works unchanged.
 
 This is the tier above the ``baselines`` package: baselines are
 host-side cost sketches compared in a lineup; backends are engines a
@@ -19,8 +22,7 @@ import numpy as np
 
 from ..core.options import AcSpgemmOptions
 from ..gpu.cost import CostMeter
-from ..obs.device import DeviceTrace
-from ..obs.span import SpanRecorder
+from ..obs.record import RunRecorder
 
 __all__ = ["Backend"]
 
@@ -45,15 +47,16 @@ class Backend:
         b,
         options: AcSpgemmOptions | None = None,
         *,
-        spans: SpanRecorder | None = None,
-        dtrace: DeviceTrace | None = None,
+        recorder: RunRecorder | None = None,
         scheduler_seed: int = 0,
     ):
         """Compute ``C = A @ B`` on the simulated device.
 
-        ``spans``/``dtrace`` support nesting inside a caller's recording
-        context (the adaptive selector); by default the backend owns
-        both.  Returns an :class:`~repro.core.acspgemm.AcSpgemmResult`.
+        ``recorder`` nests the run inside a caller's
+        :class:`~repro.obs.record.RunRecorder` (the adaptive selector
+        hands its own to the engine it routes to); by default the
+        backend records into a fresh one built from ``options``.
+        Returns an :class:`~repro.core.acspgemm.AcSpgemmResult`.
         """
         raise NotImplementedError
 
@@ -65,16 +68,6 @@ class Backend:
         raise NotImplementedError
 
     # -- shared helpers ------------------------------------------------
-
-    @staticmethod
-    def _finish_spans(spans: SpanRecorder, owns: bool, anchor, **attrs):
-        """Close an owned recorder, or unwind to the injected anchor."""
-        if owns:
-            return spans.close(**attrs)
-        while spans.current is not anchor:
-            spans.finish()
-        spans.finish(**attrs)
-        return anchor
 
     @staticmethod
     def _fresh_meter(opts: AcSpgemmOptions) -> CostMeter:

@@ -24,9 +24,11 @@ Two engines, promoted from the host-side cost sketches in
 Both engines execute the launch/record protocol of the AC-SpGEMM
 driver exactly — per-block :class:`~repro.gpu.cost.CostMeter`\\ s,
 real :class:`~repro.gpu.memory.Scratchpad` occupancy,
-:func:`~repro.gpu.scheduler.schedule_blocks` makespans, span trees and
-device traces — so :func:`repro.obs.analyze.reconcile` holds with zero
-tolerance.  Numerically they model the scheduler-dependent hash
+:func:`~repro.gpu.scheduler.schedule_blocks` makespans, and every pass
+and launch reported through the same
+:class:`~repro.obs.record.RunRecorder` calls — so
+:func:`repro.obs.analyze.reconcile` holds with zero tolerance.
+Numerically they model the scheduler-dependent hash
 insertion order with a seeded shuffle, so they are *not* bit-stable
 (the †-rows of Table 1).
 
@@ -48,12 +50,10 @@ from ..baselines.base import accumulate_products, expand_products
 from ..baselines.util import row_temp_counts
 from ..core.acspgemm import AcSpgemmResult, MemoryReport
 from ..core.options import AcSpgemmOptions, DEFAULT_OPTIONS
-from ..gpu.counters import TrafficCounters
 from ..gpu.memory import Scratchpad
 from ..gpu.scheduler import schedule_blocks
-from ..obs.device import BlockMeta, DeviceTrace
-from ..obs.span import SpanRecorder
-from ..sparse.validate import validate_csr
+from ..obs.device import BlockMeta
+from ..obs.record import RunRecorder
 from .base import Backend
 
 __all__ = ["NsparseHashBackend", "DeveciHashmapBackend"]
@@ -121,31 +121,12 @@ class _SimulatedHashEngine(Backend):
 
     # -- execution -----------------------------------------------------
 
-    def run(self, a, b, options=None, *, spans=None, dtrace=None, scheduler_seed=0):
+    def run(self, a, b, options=None, *, recorder=None, scheduler_seed=0):
         opts = options or DEFAULT_OPTIONS
-        if a.cols != b.rows:
-            raise ValueError(
-                f"inner dimensions do not match: A is {a.shape}, B is {b.shape}"
-            )
         cfg = opts.device
         launch = opts.costs.kernel_launch_cycles
-        owns_spans = spans is None
-        if owns_spans:
-            spans = SpanRecorder(clock_ghz=cfg.clock_ghz)
-        anchor = spans.start(
-            self.name,
-            rows=a.rows,
-            inner=a.cols,
-            cols=b.cols,
-            nnz_a=a.nnz,
-            nnz_b=b.nnz,
-        )
-        with spans.span("setup", validated=opts.validate_inputs):
-            if opts.validate_inputs:
-                validate_csr(a)
-                validate_csr(b)
-        if dtrace is None and opts.device_trace:
-            dtrace = DeviceTrace(clock_ghz=cfg.clock_ghz, num_sms=cfg.num_sms)
+        rec = recorder or RunRecorder(opts)
+        anchor = rec.open(self.name, a, b, self.stage_keys)
 
         # the true product; the seeded shuffle models the
         # scheduler-dependent hash insertion order (not bit-stable)
@@ -167,71 +148,33 @@ class _SimulatedHashEngine(Backend):
             opts=opts,
         )
 
-        stage_cycles = {k: 0.0 for k in self.stage_keys}
-        counters = TrafficCounters()
-        min_mp_load = 1.0
-        util_busy = 0.0
-        util_cap = 0.0
-
         for op in ops:
             if isinstance(op, _DevicePass):
-                cycles = op.meter.cycles / cfg.num_sms + launch
-                stage_cycles[op.stage] += cycles
-                counters.merge(op.meter.counters)
-                counters.kernel_launches += 1
-                if dtrace is not None:
-                    attr = op.meter.counters.snapshot()
-                    attr["kernel_launches"] += 1
-                    dtrace.record_device_wide(
-                        op.stage,
-                        op.label,
-                        start_cycle=spans.now,
-                        cycles=cycles,
-                        counters=attr,
-                    )
-                spans.leaf(op.label, cycles, stage=op.stage, **op.attrs)
-                continue
-            timing = schedule_blocks(
-                [w.meter.cycles for w in op.works],
-                cfg.num_sms,
-                launch_overhead=launch,
-                record_placements=dtrace is not None,
-            )
-            stage_cycles[op.stage] += timing.makespan_cycles
-            for w in op.works:
-                counters.merge(w.meter.counters)
-            counters.kernel_launches += 1
-            if timing.n_blocks >= cfg.num_sms:
-                min_mp_load = min(min_mp_load, timing.multiprocessor_load)
-            if timing.n_blocks:
-                util_busy += timing.total_block_cycles
-                util_cap += len(timing.sm_busy_cycles) * timing.makespan_cycles
-            if dtrace is not None:
-                dtrace.record_launch(
+                rec.device_wide(
                     op.stage,
-                    round_index=op.round_index,
-                    start_cycle=spans.now,
-                    timing=timing,
-                    launch_overhead=launch,
-                    workers=[
-                        BlockMeta(
-                            worker_id=w.block_id,
-                            row_lo=w.row_lo,
-                            row_hi=w.row_hi,
-                            cycles=w.meter.cycles,
-                            done=True,
-                            scratch_high_water=w.scratch_high_water,
-                            counters=w.meter.counters.snapshot(),
-                        )
-                        for w in op.works
-                    ],
-                    counters={"kernel_launches": 1},
+                    op.label,
+                    op.meter.cycles / cfg.num_sms + launch,
+                    op.meter.counters,
+                    **op.attrs,
                 )
-            spans.leaf(
-                f"{op.stage.lower()}.round",
-                timing.makespan_cycles,
-                stage=op.stage,
-                round=op.round_index,
+                continue
+            rec.launch(
+                op.stage,
+                rec.schedule([w.meter.cycles for w in op.works]),
+                (
+                    BlockMeta(
+                        worker_id=w.block_id,
+                        row_lo=w.row_lo,
+                        row_hi=w.row_hi,
+                        cycles=w.meter.cycles,
+                        done=True,
+                        scratch_high_water=w.scratch_high_water,
+                        counters=w.meter.counters.snapshot(),
+                    )
+                    for w in op.works
+                ),
+                round_index=op.round_index,
+                block_counters=[w.meter.counters for w in op.works],
                 blocks=len(op.works),
             )
 
@@ -243,17 +186,17 @@ class _SimulatedHashEngine(Backend):
         )
         return AcSpgemmResult(
             matrix=c,
-            stage_cycles=stage_cycles,
-            counters=counters,
+            stage_cycles=rec.stage_cycles,
+            counters=rec.counters,
             memory=memory,
             restarts=0,
-            multiprocessor_load=min_mp_load,
+            multiprocessor_load=rec.multiprocessor_load,
             n_chunks=0,
             n_blocks=info["n_blocks"],
             clock_ghz=cfg.clock_ghz,
-            spans=self._finish_spans(spans, owns_spans, anchor),
-            sm_utilization=util_busy / util_cap if util_cap else 1.0,
-            device_trace=dtrace,
+            spans=rec.close(anchor),
+            sm_utilization=rec.sm_utilization,
+            device_trace=rec.dtrace,
         )
 
     # -- prediction ----------------------------------------------------

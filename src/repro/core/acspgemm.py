@@ -38,13 +38,12 @@ from ..engine.base import EngineContext
 from ..gpu.cost import CostMeter
 from ..gpu.counters import TrafficCounters
 from ..gpu.memory import ScratchpadOverflow
-from ..gpu.scheduler import KernelTiming, partition_aborted, schedule_blocks
-from ..obs.device import BlockMeta, DeviceTrace
-from ..obs.span import SpanRecorder
+from ..gpu.scheduler import partition_aborted
+from ..obs.device import BlockMeta
+from ..obs.record import RunRecorder
 from ..resilience.errors import ReproError, RestartBudgetExceeded, SanitizerError
 from ..resilience.sanitize import check_stage_boundary
 from ..sparse.csr import CSRMatrix
-from ..sparse.validate import validate_csr
 from .chunks import ChunkPool, PoolExhausted, RowChunkTracker
 from .esc import EscBlock
 from .load_balance import global_load_balance
@@ -149,11 +148,6 @@ class AcSpgemmResult:
         return {k: v / total for k, v in self.stage_cycles.items()}
 
 
-def _device_wide_cycles(meter: CostMeter, num_sms: int) -> float:
-    """A device-wide pass parallelises perfectly over the SMs."""
-    return meter.cycles / num_sms
-
-
 def _worker_id(worker) -> int | None:
     """Block id of an ESC block or merge worker, for error context."""
     if worker is None:
@@ -164,38 +158,22 @@ def _worker_id(worker) -> int | None:
     return block_id
 
 
-def _finish_spans(spans: SpanRecorder, owns: bool, anchor, **attrs):
-    """Close the recorder we own, or unwind back to an injected anchor.
-
-    When the caller (the adaptive selector) injected its own recorder,
-    the driver must not ``close()`` the whole tree — it finishes spans
-    until its own ``anchor`` span is popped, leaving the caller's root
-    open for further recording.
-    """
-    if owns:
-        return spans.close(**attrs)
-    while spans.current is not anchor:
-        spans.finish()
-    spans.finish(**attrs)
-    return anchor
-
-
 def ac_spgemm(
     a: CSRMatrix,
     b: CSRMatrix,
     options: AcSpgemmOptions | None = None,
     *,
-    spans: SpanRecorder | None = None,
-    dtrace: DeviceTrace | None = None,
+    recorder: RunRecorder | None = None,
 ) -> AcSpgemmResult:
     """Compute ``C = A @ B`` with AC-SpGEMM on the simulated device.
 
     Deterministic and bit-stable: repeated calls with the same inputs
     and options produce byte-identical results.
 
-    ``spans``/``dtrace`` allow a caller that already opened its own
-    recording context — the adaptive selector in ``repro.backends`` —
-    to nest this run inside it; by default the driver owns both.
+    ``recorder`` lets a caller that already opened a
+    :class:`~repro.obs.record.RunRecorder` (the adaptive selector in
+    ``repro.backends``) nest this run inside it; by default the driver
+    records into its own.
 
     Unrecoverable execution failures raise typed
     :class:`~repro.resilience.errors.ReproError` subclasses; with
@@ -203,43 +181,14 @@ def ac_spgemm(
     baseline instead (input-validation errors always raise).
     """
     opts = options or DEFAULT_OPTIONS
-    if a.cols != b.rows:
-        raise ValueError(
-            f"inner dimensions do not match: A is {a.shape}, B is {b.shape}"
-        )
-    owns_spans = spans is None
-    if owns_spans:
-        spans = SpanRecorder(clock_ghz=opts.device.clock_ghz)
-    anchor = spans.start(
-        "acspgemm",
-        engine=opts.engine,
-        rows=a.rows,
-        inner=a.cols,
-        cols=b.cols,
-        nnz_a=a.nnz,
-        nnz_b=b.nnz,
-    )
-    with spans.span("setup", validated=opts.validate_inputs):
-        if opts.validate_inputs:
-            # sanitizer mode also rejects non-finite values: a NaN/Inf
-            # input poisons every product it touches, which the
-            # stage-boundary checks cannot distinguish from corruption
-            validate_csr(a, require_finite=opts.sanitize)
-            validate_csr(b, require_finite=opts.sanitize)
-    if dtrace is None and opts.device_trace:
-        dtrace = DeviceTrace(
-            clock_ghz=opts.device.clock_ghz, num_sms=opts.device.num_sms
-        )
+    rec = recorder or RunRecorder(opts)
+    anchor = rec.open("acspgemm", a, b, STAGE_KEYS, engine=opts.engine)
     try:
-        return _run_pipeline(
-            a, b, opts, spans, dtrace, owns_spans=owns_spans, anchor=anchor
-        )
+        return _run_pipeline(a, b, opts, rec, anchor)
     except (PoolExhausted, RestartBudgetExceeded, ScratchpadOverflow, SanitizerError) as exc:
         if opts.on_failure != "fallback":
             raise
-        return _degraded_result(
-            a, b, opts, exc, spans, dtrace, owns_spans=owns_spans, anchor=anchor
-        )
+        return _degraded_result(a, b, opts, exc, rec, anchor)
 
 
 def _degraded_result(
@@ -247,41 +196,22 @@ def _degraded_result(
     b: CSRMatrix,
     opts: AcSpgemmOptions,
     exc: ReproError,
-    spans: SpanRecorder,
-    dtrace: DeviceTrace | None = None,
-    *,
-    owns_spans: bool = True,
-    anchor=None,
+    rec: RunRecorder,
+    anchor,
 ) -> AcSpgemmResult:
     """Recompute C with the global-ESC baseline after ``exc``.
 
     The fallback gets one fresh conservative allocation (sized for every
     temporary product, so it cannot fail the same way) and its C is
     bit-identical to the Gustavson reference; the triggering failure is
-    recorded on the result instead of being raised.
+    recorded on the result instead of being raised.  The device trace
+    keeps every record collected before the failure, behind a
+    truncation marker: the result totals cover only the fallback.
     """
-    from ..obs.trace import current_trace_attrs
     from ..resilience.degrade import conservative_pool_bytes, fallback_multiply
 
-    spans.abort(reason=exc.one_line(), **current_trace_attrs())
-    spans.event("degraded", detail=exc.one_line())
-    if dtrace is not None:
-        # the trace keeps every record collected before the failure; the
-        # marker tells consumers the adaptive records are partial and the
-        # result totals cover only the fallback
-        dtrace.mark_truncated(exc.one_line())
-    fb_start = spans.now
-    run = fallback_multiply(a, b, opts, spans=spans)
-    stage_cycles = {k: 0.0 for k in STAGE_KEYS}
-    stage_cycles["FB"] = run.cycles
-    if dtrace is not None:
-        dtrace.record_device_wide(
-            "FB",
-            "fallback",
-            start_cycle=fb_start,
-            cycles=run.cycles,
-            counters=run.counters.snapshot(),
-        )
+    rec.degrade(exc)
+    run = fallback_multiply(a, b, opts, recorder=rec)
     memory = MemoryReport(
         helper_bytes=0,
         chunk_pool_bytes=conservative_pool_bytes(a, b, opts),
@@ -290,18 +220,19 @@ def _degraded_result(
     )
     return AcSpgemmResult(
         matrix=run.matrix,
-        stage_cycles=stage_cycles,
-        counters=run.counters,
+        stage_cycles=rec.stage_cycles,
+        counters=rec.counters,
         memory=memory,
         restarts=exc.restarts or 0,
-        multiprocessor_load=1.0,
+        multiprocessor_load=rec.multiprocessor_load,
         n_chunks=0,
         n_blocks=0,
         clock_ghz=opts.device.clock_ghz,
-        spans=spans.close(degraded=True) if owns_spans else anchor,
+        spans=rec.close(anchor, degraded=True),
+        sm_utilization=rec.sm_utilization,
         degraded=True,
         failure=exc.context(),
-        device_trace=dtrace,
+        device_trace=rec.dtrace,
     )
 
 
@@ -309,47 +240,25 @@ def _run_pipeline(
     a: CSRMatrix,
     b: CSRMatrix,
     opts: AcSpgemmOptions,
-    spans: SpanRecorder,
-    dtrace: DeviceTrace | None = None,
-    *,
-    owns_spans: bool = True,
-    anchor=None,
+    rec: RunRecorder,
+    anchor,
 ) -> AcSpgemmResult:
     """The four-stage pipeline proper (validated inputs, typed raises)."""
     cfg = opts.device
     engine = get_engine(opts.engine)
     launch = opts.costs.kernel_launch_cycles
-    stage_cycles = {k: 0.0 for k in STAGE_KEYS}
-    counters = TrafficCounters()
-    min_mp_load = 1.0
-    util_busy = 0.0
-    util_cap = 0.0
-
-    def track_timing(timing: KernelTiming) -> None:
-        nonlocal min_mp_load, util_busy, util_cap
-        if timing.n_blocks >= cfg.num_sms:
-            min_mp_load = min(min_mp_load, timing.multiprocessor_load)
-        if timing.n_blocks:  # empty launches are pure overhead, not idle SMs
-            util_busy += timing.total_block_cycles
-            util_cap += len(timing.sm_busy_cycles) * timing.makespan_cycles
+    spans = rec.spans
 
     # ---- stage 1: global load balancing --------------------------------
     glb_meter = CostMeter(config=cfg, constants=opts.costs)
     glb = global_load_balance(a, cfg.nnz_per_block_glb, glb_meter)
-    stage_cycles["GLB"] = _device_wide_cycles(glb_meter, cfg.num_sms) + launch
-    counters.merge(glb_meter.counters)
-    counters.kernel_launches += 1
-    if dtrace is not None:
-        glb_attr = glb_meter.counters.snapshot()
-        glb_attr["kernel_launches"] += 1
-        dtrace.record_device_wide(
-            "GLB",
-            "glb",
-            start_cycle=spans.now,
-            cycles=stage_cycles["GLB"],
-            counters=glb_attr,
-        )
-    spans.leaf("glb", stage_cycles["GLB"], stage="GLB", blocks=glb.n_blocks)
+    rec.device_wide(
+        "GLB",
+        "glb",
+        glb_meter.cycles / cfg.num_sms + launch,
+        glb_meter.counters,
+        blocks=glb.n_blocks,
+    )
 
     # ---- stage 2: AC-ESC with restart loop ------------------------------
     with spans.span("estimate", estimator=opts.estimator) as est:
@@ -365,23 +274,15 @@ def _run_pipeline(
             est_meter = CostMeter(config=cfg, constants=opts.costs)
             pool_bytes = sampled_chunk_pool_bytes(a, b, opts, meter=est_meter)
             if est_meter.counters.kernel_launches:
-                # the meter already charged its own launch latency;
-                # keep it out of the device-wide division
-                est_cycles = (
-                    est_meter.cycles - launch
-                ) / cfg.num_sms + launch
-                stage_cycles["ESC"] += est_cycles
-                counters.merge(est_meter.counters)
-                if dtrace is not None:
-                    dtrace.record_device_wide(
-                        "ESC",
-                        "estimate.sample",
-                        start_cycle=spans.now,
-                        cycles=est_cycles,
-                        counters=est_meter.counters.snapshot(),
-                    )
-                spans.leaf(
-                    "estimate.sample", est_cycles, stage="ESC", sampled=True
+                # the meter already charged (and counted) its own
+                # launch; keep its latency out of the device-wide division
+                rec.device_wide(
+                    "ESC",
+                    "estimate.sample",
+                    (est_meter.cycles - launch) / cfg.num_sms + launch,
+                    est_meter.counters,
+                    launches=0,
+                    sampled=True,
                 )
         est.attrs["pool_bytes"] = pool_bytes
     pool = ChunkPool(capacity_bytes=pool_bytes)
@@ -464,167 +365,38 @@ def _run_pipeline(
             )
         return partition_aborted(pending_list, injector.aborts_for(stage, round_index))
 
-    blocks = [
-        EscBlock(block_id=i, a=a, b=b, glb=glb, options=opts)
-        for i in range(glb.n_blocks)
-    ]
-    pending = list(blocks)
     restarts = 0
-    esc_round_index = 0
-    with spans.span("esc", stage="ESC"):
-        while pending:
-            rnd = esc_round_index
-            run_list, aborted = enter_round("ESC", rnd, pending, restarts)
-            esc_round_index += 1
-            if aborted:
-                spans.event(
-                    "blocks_aborted", detail=f"{len(aborted)} blocks in round {rnd}"
-                )
-            outcomes = engine.esc_round(ectx, run_list) if run_list else []
-            round_cycles = [o.cycles for o in outcomes]
-            # re-queue in original block order: aborted blocks keep their
-            # position relative to the blocks whose allocations failed
-            outcome_of = dict(zip(map(id, run_list), outcomes))
-            still_pending: list[EscBlock] = []
-            for blk in pending:
-                outcome = outcome_of.get(id(blk))
-                if outcome is None:  # aborted before dispatch
-                    still_pending.append(blk)
-                    continue
-                counters.merge(outcome.counters)
-                if not outcome.done:
-                    still_pending.append(blk)
-            timing = schedule_blocks(
-                round_cycles,
-                cfg.num_sms,
-                launch_overhead=launch,
-                record_placements=dtrace is not None,
-            )
-            stage_cycles["ESC"] += timing.makespan_cycles
-            counters.kernel_launches += 1
-            track_timing(timing)
-            if dtrace is not None:
-                dtrace.record_launch(
-                    "ESC",
-                    round_index=rnd,
-                    start_cycle=spans.now,
-                    timing=timing,
-                    launch_overhead=launch,
-                    workers=[
-                        esc_meta(blk, o) for blk, o in zip(run_list, outcomes)
-                    ],
-                    aborted=[esc_meta(blk) for blk in aborted],
-                    counters={"kernel_launches": 1},
-                    pool=pool,
-                )
-            spans.leaf(
-                "esc.round",
-                timing.makespan_cycles,
-                stage="ESC",
-                round=rnd,
-                blocks=len(run_list),
-                pending_after=len(still_pending),
-            )
-            if still_pending:
-                restarts += 1
-                if restarts > opts.max_restarts:
-                    raise RestartBudgetExceeded(
-                        f"chunk pool restart limit exceeded ({opts.max_restarts})",
-                        stage="ESC",
-                        block_id=_worker_id(still_pending[0]),
-                        restarts=restarts - 1,
-                    )
-                growth = max(
-                    int(pool.capacity_bytes * (opts.pool_growth_factor - 1.0)),
-                    opts.device.elements_per_block * opts.element_bytes,
-                )
-                pool.grow(growth)
-                stage_cycles["ESC"] += opts.costs.host_round_trip_cycles
-                counters.host_round_trips += 1
-                spans.event(
-                    "restart",
-                    detail=f"pool grown to {pool.capacity_bytes} B, "
-                    f"{len(still_pending)} blocks pending",
-                )
-                if dtrace is not None:
-                    dtrace.record_host(
-                        "ESC",
-                        "restart",
-                        start_cycle=spans.now,
-                        cycles=opts.costs.host_round_trip_cycles,
-                        counters={"host_round_trips": 1},
-                        pool=pool,
-                    )
-                spans.leaf(
-                    "esc.restart",
-                    opts.costs.host_round_trip_cycles,
-                    stage="ESC",
-                    pool_bytes=pool.capacity_bytes,
-                )
-            pending = still_pending
 
-    if opts.sanitize:
-        check_stage_boundary(pool, tracker, stage="ESC")
-
-    # ---- stage 3: merging ------------------------------------------------
-    def run_merge_kernel(stage: str, workers) -> None:
-        """Launch a merge kernel with its own restart loop."""
+    def run_rounds(stage: str, pending: list, step, meta, noun: str, **attrs) -> None:
+        """Launch ``stage`` rounds in the stage's span until every worker
+        is done, growing the chunk pool on the host between rounds (the
+        restart loop); then check the stage boundary."""
         nonlocal restarts
-        pending_workers = list(workers)
-        if not pending_workers:
-            return
-        round_index = 0
-        with spans.span(stage.lower(), stage=stage, workers=len(pending_workers)):
-            while pending_workers:
-                rnd = round_index
-                run_list, aborted = enter_round(stage, rnd, pending_workers, restarts)
-                round_index += 1
+        with spans.span(stage.lower(), stage=stage, **attrs):
+            rnd = 0
+            while pending:
+                run_list, aborted = enter_round(stage, rnd, pending, restarts)
                 if aborted:
                     spans.event(
-                        "blocks_aborted",
-                        detail=f"{len(aborted)} blocks in round {rnd}",
+                        "blocks_aborted", detail=f"{len(aborted)} blocks in round {rnd}"
                     )
-                outcomes = engine.merge_round(ectx, stage, run_list) if run_list else []
-                cycles = [o.cycles for o in outcomes]
+                outcomes = step(run_list) if run_list else []
+                # re-queue in original order: aborted workers keep their
+                # position relative to the workers whose allocations failed
                 outcome_of = dict(zip(map(id, run_list), outcomes))
-                still = []
-                for w in pending_workers:
-                    outcome = outcome_of.get(id(w))
-                    if outcome is None:  # aborted before dispatch
-                        still.append(w)
-                        continue
-                    counters.merge(outcome.counters)
-                    if not outcome.done:
-                        still.append(w)
-                timing = schedule_blocks(
-                    cycles,
-                    cfg.num_sms,
-                    launch_overhead=launch,
-                    record_placements=dtrace is not None,
-                )
-                stage_cycles[stage] += timing.makespan_cycles
-                counters.kernel_launches += 1
-                track_timing(timing)
-                if dtrace is not None:
-                    dtrace.record_launch(
-                        stage,
-                        round_index=rnd,
-                        start_cycle=spans.now,
-                        timing=timing,
-                        launch_overhead=launch,
-                        workers=[
-                            merge_meta(stage, w, o)
-                            for w, o in zip(run_list, outcomes)
-                        ],
-                        aborted=[merge_meta(stage, w) for w in aborted],
-                        counters={"kernel_launches": 1},
-                        pool=pool,
-                    )
-                spans.leaf(
-                    f"{stage.lower()}.round",
-                    timing.makespan_cycles,
-                    stage=stage,
-                    round=rnd,
+                still = [
+                    w
+                    for w in pending
+                    if id(w) not in outcome_of or not outcome_of[id(w)].done
+                ]
+                rec.launch(
+                    stage,
+                    rec.schedule([o.cycles for o in outcomes]),
+                    (meta(w, o) for w, o in zip(run_list, outcomes)),
+                    round_index=rnd,
+                    aborted=(meta(w) for w in aborted),
+                    block_counters=[o.counters for o in outcomes],
+                    pool=pool,
                     blocks=len(run_list),
                     pending_after=len(still),
                 )
@@ -643,56 +415,49 @@ def _run_pipeline(
                             opts.device.elements_per_block * opts.element_bytes,
                         )
                     )
-                    stage_cycles[stage] += opts.costs.host_round_trip_cycles
-                    counters.host_round_trips += 1
-                    spans.event(
-                        "restart",
-                        detail=f"pool grown to {pool.capacity_bytes} B, "
-                        f"{len(still)} workers pending",
+                    rec.host_round_trip(
+                        stage,
+                        pool,
+                        f"pool grown to {pool.capacity_bytes} B, "
+                        f"{len(still)} {noun} pending",
                     )
-                    if dtrace is not None:
-                        dtrace.record_host(
-                            stage,
-                            "restart",
-                            start_cycle=spans.now,
-                            cycles=opts.costs.host_round_trip_cycles,
-                            counters={"host_round_trips": 1},
-                            pool=pool,
-                        )
-                    spans.leaf(
-                        f"{stage.lower()}.restart",
-                        opts.costs.host_round_trip_cycles,
-                        stage=stage,
-                        pool_bytes=pool.capacity_bytes,
-                    )
-                pending_workers = still
+                pending = still
+                rnd += 1
         if opts.sanitize:
             check_stage_boundary(pool, tracker, stage=stage)
+
+    blocks = [
+        EscBlock(block_id=i, a=a, b=b, glb=glb, options=opts)
+        for i in range(glb.n_blocks)
+    ]
+    run_rounds(
+        "ESC", blocks, lambda run: engine.esc_round(ectx, run), esc_meta, "blocks"
+    )
+
+    # ---- stage 3: merging ------------------------------------------------
+    def run_merge_kernel(stage: str, workers) -> None:
+        """Launch a merge kernel with its own restart loop."""
+        if workers:
+            run_rounds(
+                stage,
+                workers,
+                lambda run: engine.merge_round(ectx, stage, run),
+                lambda w, o=None: merge_meta(stage, w, o),
+                "workers",
+                workers=len(workers),
+            )
 
     with spans.span("merge"):
         mcc_meter = CostMeter(config=cfg, constants=opts.costs)
         assignment = assign_merges(tracker, opts, mcc_meter)
-        stage_cycles["MCC"] = _device_wide_cycles(mcc_meter, cfg.num_sms)
-        if assignment.n_shared_rows:
-            stage_cycles["MCC"] += launch
-            counters.kernel_launches += 1
-        counters.merge(mcc_meter.counters)
-        if dtrace is not None:
-            mcc_attr = mcc_meter.counters.snapshot()
-            if assignment.n_shared_rows:
-                mcc_attr["kernel_launches"] += 1
-            dtrace.record_device_wide(
-                "MCC",
-                "mcc",
-                start_cycle=spans.now,
-                cycles=stage_cycles["MCC"],
-                counters=mcc_attr,
-                pool=pool,
-            )
-        spans.leaf(
+        has_shared = bool(assignment.n_shared_rows)
+        rec.device_wide(
+            "MCC",
             "mcc",
-            stage_cycles["MCC"],
-            stage="MCC",
+            mcc_meter.cycles / cfg.num_sms + (launch if has_shared else 0.0),
+            mcc_meter.counters,
+            launches=int(has_shared),
+            pool=pool,
             shared_rows=assignment.n_shared_rows,
         )
 
@@ -725,54 +490,33 @@ def _run_pipeline(
         out_meter = CostMeter(config=cfg, constants=opts.costs)
         row_ptr = build_row_pointer(tracker, out_meter)
         c, copy_cycles = engine.copy_output(ectx, row_ptr, out_meter)
-        timing = schedule_blocks(
-            copy_cycles,
-            cfg.num_sms,
-            launch_overhead=launch,
-            record_placements=dtrace is not None,
+        timing = rec.schedule(copy_cycles)
+        rec.device_wide(
+            "CC",
+            "output.row_ptr",
+            out_meter.cycles / cfg.num_sms,
+            out_meter.counters,
+            pool=pool,
         )
-        scan_cycles = _device_wide_cycles(out_meter, cfg.num_sms)
-        stage_cycles["CC"] = scan_cycles + timing.makespan_cycles
-        counters.merge(out_meter.counters)
-        counters.kernel_launches += 2  # row-pointer scan + copy
-        track_timing(timing)
-        if dtrace is not None:
-            scan_attr = out_meter.counters.snapshot()
-            scan_attr["kernel_launches"] += 1
-            dtrace.record_device_wide(
-                "CC",
-                "output.row_ptr",
-                start_cycle=spans.now,
-                cycles=scan_cycles,
-                counters=scan_attr,
-                pool=pool,
-            )
-        spans.leaf("output.row_ptr", scan_cycles, stage="CC")
-        if dtrace is not None:
-            # one copy block per chunk, in the chunk order the copy
-            # walked (pool.ordered_chunks()); its traffic is already in
-            # the out_meter sink, so blocks carry no counter deltas
-            dtrace.record_launch(
-                "CC",
-                round_index=0,
-                start_cycle=spans.now,
-                timing=timing,
-                launch_overhead=launch,
-                workers=[
-                    BlockMeta(
-                        worker_id=i,
-                        row_lo=int(ch.first_row),
-                        row_hi=int(ch.last_row),
-                        cycles=copy_cycles[i],
-                    )
-                    for i, ch in enumerate(pool.ordered_chunks())
-                ],
-                counters={"kernel_launches": 1},
-                pool=pool,
-            )
-            dtrace.finalize_chunks(pool, glb.n_blocks)
-        spans.leaf(
-            "output.copy", timing.makespan_cycles, stage="CC", blocks=timing.n_blocks
+        rec.finalize_chunks(pool, glb.n_blocks)
+        # one copy block per chunk, in the chunk order the copy walked
+        # (pool.ordered_chunks()); its traffic is already in out_meter,
+        # so blocks carry no counter deltas
+        rec.launch(
+            "CC",
+            timing,
+            (
+                BlockMeta(
+                    worker_id=i,
+                    row_lo=int(ch.first_row),
+                    row_hi=int(ch.last_row),
+                    cycles=copy_cycles[i],
+                )
+                for i, ch in enumerate(pool.ordered_chunks())
+            ),
+            pool=pool,
+            name="output.copy",
+            blocks=timing.n_blocks,
         )
 
     helper_bytes = (
@@ -790,18 +534,18 @@ def _run_pipeline(
 
     return AcSpgemmResult(
         matrix=c,
-        stage_cycles=stage_cycles,
-        counters=counters,
+        stage_cycles=rec.stage_cycles,
+        counters=rec.counters,
         memory=memory,
         restarts=restarts,
-        multiprocessor_load=min_mp_load,
+        multiprocessor_load=rec.multiprocessor_load,
         n_chunks=len(pool.chunks),
         n_blocks=glb.n_blocks,
         clock_ghz=cfg.clock_ghz,
         shared_rows=assignment.n_shared_rows,
         merge_stats=merge_stats,
-        spans=_finish_spans(spans, owns_spans, anchor, restarts=restarts),
+        spans=rec.close(anchor, restarts=restarts),
         engine_stats={k: engine.host_stats[k] for k in sorted(engine.host_stats)},
-        sm_utilization=util_busy / util_cap if util_cap else 1.0,
-        device_trace=dtrace,
+        sm_utilization=rec.sm_utilization,
+        device_trace=rec.dtrace,
     )

@@ -1,8 +1,12 @@
 """Unified observability layer: spans, metrics and profile exports.
 
-Three pieces, all driven by the simulated device clock so every export
-is engine-comparable and byte-deterministic:
+All of it is driven by the simulated device clock, so every export is
+engine-comparable and byte-deterministic:
 
+* :mod:`repro.obs.record` — :class:`RunRecorder`, the one sink every
+  run reports its device events to: one call per device-wide pass,
+  block-level launch or host round trip writes the span leaf, the
+  device-trace record, the stage cycles and the counters together;
 * :mod:`repro.obs.span` — the nested host-side span tree the driver
   records for every run (``acspgemm`` → ``setup`` / ``estimate`` /
   ``esc`` / ``merge`` / ``output``);
@@ -38,6 +42,7 @@ from .flight import (
     read_flight_events,
 )
 from .metrics import DEFAULT_LATENCY_BUCKETS_MS, MetricsRegistry
+from .record import RunRecorder
 from .span import Span, SpanEvent, SpanRecorder
 from .trace import (
     RequestTrace,
@@ -69,6 +74,7 @@ def __getattr__(name):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
+    "RunRecorder",
     "Span",
     "SpanEvent",
     "SpanRecorder",

@@ -39,6 +39,7 @@ from repro.matrices import generators as g
 from repro.obs.analyze import reconcile, stage_leaf_spans
 from repro.sparse.ops import spgemm_reference
 from repro.sparse.stats import squared_operands
+from repro.sparse.validate import CSRValidationError
 from tests.conftest import random_csr
 
 ENGINES = ("ac-spgemm", "adaptive", "hash-spgemm", "hashmap-spgemm")
@@ -46,6 +47,26 @@ ENGINES = ("ac-spgemm", "adaptive", "hash-spgemm", "hashmap-spgemm")
 
 def _traced_options(**kw) -> AcSpgemmOptions:
     return AcSpgemmOptions(device_trace=True, **kw)
+
+
+#: (backend, input) pairs; "restart" is a skewed matrix that the
+#: selector routes to ac-spgemm, run with a chunk pool small enough to
+#: force restarts (launch and host round-trip records on every route)
+_CASES = [pytest.param(name, "plain", id=name) for name in ENGINES] + [
+    pytest.param(name, "restart", id=f"{name}-restart") for name in ENGINES
+]
+
+
+def _case_input(case: str, plain_matrix):
+    if case == "plain":
+        return (*squared_operands(plain_matrix), {})
+    m = g.long_row_matrix(300, 2.5, n_long_rows=2, long_row_len=150, seed=81002)
+    return (*squared_operands(m), {"chunk_pool_bytes": 4000})
+
+
+def _check_restarts(name: str, case: str, res) -> None:
+    if case == "restart" and name in ("ac-spgemm", "adaptive"):
+        assert res.restarts > 0
 
 
 # ---------------------------------------------------------------------------
@@ -121,21 +142,32 @@ class TestReconciliation:
         ref = spgemm_reference(a, b)
         assert res.matrix.allclose(ref, rtol=1e-10)
 
-    @pytest.mark.parametrize("name", ENGINES)
-    def test_leaf_spans_match_records(self, name):
-        a, b = squared_operands(g.stencil_2d(15, seed=81004))
-        res = run_backend(name, a, b, _traced_options())
+    @pytest.mark.parametrize("name,case", _CASES)
+    def test_leaf_spans_match_records(self, name, case):
+        a, b, kw = _case_input(case, g.stencil_2d(15, seed=81004))
+        res = run_backend(name, a, b, _traced_options(**kw))
+        _check_restarts(name, case, res)
         leaves = stage_leaf_spans(res.spans)
         assert len(leaves) == len(res.device_trace.records)
 
-    @pytest.mark.parametrize("name", ENGINES)
-    def test_trace_does_not_perturb_result(self, name):
-        a, b = squared_operands(g.random_uniform(200, 200, 8, seed=81005))
-        plain = run_backend(name, a, b, AcSpgemmOptions())
-        traced = run_backend(name, a, b, _traced_options())
+    @pytest.mark.parametrize("name,case", _CASES)
+    def test_trace_does_not_perturb_result(self, name, case):
+        a, b, kw = _case_input(case, g.random_uniform(200, 200, 8, seed=81005))
+        plain = run_backend(name, a, b, AcSpgemmOptions(**kw))
+        traced = run_backend(name, a, b, _traced_options(**kw))
+        _check_restarts(name, case, traced)
         assert plain.matrix.values.tobytes() == traced.matrix.values.tobytes()
         assert plain.counters == traced.counters
         assert plain.stage_cycles == traced.stage_cycles
+        assert plain.multiprocessor_load == traced.multiprocessor_load
+        assert plain.sm_utilization == traced.sm_utilization
+
+    @pytest.mark.parametrize("name", list(BACKENDS))
+    def test_sanitize_rejects_non_finite_input(self, name):
+        a = g.random_uniform(120, 120, 6, seed=81007)
+        a.values[3] = np.nan
+        with pytest.raises(CSRValidationError, match="non-finite"):
+            run_backend(name, a, a, AcSpgemmOptions(sanitize=True))
 
 
 # ---------------------------------------------------------------------------

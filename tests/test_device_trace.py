@@ -146,6 +146,36 @@ class TestCrossEngineByteDeterminism:
             traces[engine] = dt.to_json()
         assert traces["reference"] == traces["batched"] == traces["process"]
 
+    def test_degrade_nested_under_selector(self, rng, monkeypatch):
+        """A degrade inside the adaptive selector keeps the probe: SEL
+        stays first, the fallback follows the pipeline's stage keys,
+        and the counters are exactly the probe's plus the fallback's."""
+        from repro.backends import AdaptiveSelector, run_backend
+        from repro.core.acspgemm import STAGE_KEYS
+
+        monkeypatch.setattr(AdaptiveSelector, "candidates", ("ac-spgemm",))
+        a, b = _pair(rng)
+        plan = FaultPlan.single(
+            "scratchpad_overflow", stage="MM", round=0, block=0
+        )
+        res = run_backend(
+            "adaptive", a, b, _opts(fault_plan=plan, on_failure="fallback")
+        )
+        assert res.degraded and res.dispatched_to == "ac-spgemm"
+        assert list(res.stage_cycles) == ["SEL", *STAGE_KEYS, "FB"]
+        dt = res.device_trace
+        assert dt.truncated
+        # a truncated trace is checked on its FB record only
+        assert reconcile(res)["checked"] is False
+        assert dt.stage_cycle_totals()["FB"] == res.stage_cycles["FB"]
+        names = [s.name for s in stage_leaf_spans(res.spans)]
+        assert names.index("select") < names.index("fallback")
+        sel, fb = dt.records[0], dt.records[-1]
+        assert (sel.stage, fb.stage) == ("SEL", "FB")
+        expected = TrafficCounters(**sel.counters)
+        expected.merge(TrafficCounters(**fb.counters))
+        assert res.counters == expected
+
     def test_repeat_run_is_byte_stable(self, rng):
         a, b = _pair(rng)
         first = ac_spgemm(a, b, _opts()).device_trace.to_json()
