@@ -41,6 +41,7 @@ import numpy as np
 from ..backends.registry import run_backend
 from ..core.options import AcSpgemmOptions, DEFAULT_OPTIONS
 from ..gpu.counters import TrafficCounters
+from ..obs.analyze import ReconciliationError, reconcile as reconcile_trace
 from ..obs.span import Span
 from ..sparse.csr import CSRMatrix
 from .node import Interconnect, LinkCounters, NodeConfig, link_key
@@ -132,8 +133,12 @@ class SummaResult:
         * partitioned nnz is conserved (operands → tiles → merged C);
         * device counters merged over the tile runs equal
           ``result.counters`` field-for-field;
-        * the LMUL/TMERGE/ASM stage sums re-accumulate from the tile
-          runs in merge order, bit for bit.
+        * the LMUL and BCAST stage sums re-accumulate from the tile
+          runs and the link counters in merge order, bit for bit;
+        * when the tiles ran with ``device_trace=True``, every tile's
+          trace passes :func:`repro.obs.analyze.reconcile` against that
+          tile's own stage cycles, counters and spans (a degraded tile's
+          truncated trace is listed under ``tile_traces_unchecked``).
         """
 
         def fail(message: str) -> None:
@@ -177,14 +182,14 @@ class SummaResult:
         merged_nnz = 0
         for i in range(g):
             for j in range(g):
-                union = set()
+                keys = []
                 for k in range(g):
                     t = self.tile_runs[(i, j, k)].result.matrix
                     rows = np.repeat(
                         np.arange(t.rows, dtype=np.int64), t.row_lengths()
                     )
-                    union.update(zip(rows.tolist(), t.col_idx.tolist()))
-                merged_nnz += len(union)
+                    keys.append(rows * t.cols + t.col_idx)
+                merged_nnz += np.unique(np.concatenate(keys)).size
         if merged_nnz != self.matrix.nnz:
             fail(
                 f"merged nnz {self.matrix.nnz} != union of tile patterns "
@@ -216,7 +221,22 @@ class SummaResult:
                 f"BCAST cycles {self.stage_cycles.get('BCAST')!r} != "
                 f"link busy sum {bcast!r}"
             )
-        return {
+        # each traced tile run passes the single-device trace checks; a
+        # degraded tile's truncated trace passes the few checks that
+        # hold for it and is listed as unchecked
+        traced = [
+            key for key in sorted(self.tile_runs)
+            if self.tile_runs[key].result.device_trace is not None
+        ]
+        unchecked = []
+        for key in traced:
+            try:
+                report = reconcile_trace(self.tile_runs[key].result)
+            except ReconciliationError as exc:
+                fail(f"tile {key} device trace: {exc}")
+            if not report["checked"]:
+                unchecked.append(list(key))
+        summary = {
             "links_exact": True,
             "nnz_conserved": True,
             "counters_exact": True,
@@ -224,6 +244,10 @@ class SummaResult:
             "links": {k: self.link_counters[k].snapshot()
                       for k in sorted(self.link_counters)},
         }
+        if traced:
+            summary["tile_traces_exact"] = True
+            summary["tile_traces_unchecked"] = unchecked
+        return summary
 
     def summary(self) -> dict:
         """Deterministic JSON-ready summary (CLI/bench output)."""

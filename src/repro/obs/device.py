@@ -30,25 +30,29 @@ an explicit truncation marker.
 
 The trace renders two Perfetto views: :func:`stage_timeline_events`, the
 per-stage kernel timeline of the artifact's "Debug" mode (Appendix
-A.4), and :meth:`DeviceTrace.to_perfetto_events`, the per-SM tracks.
+A.4), and :func:`sm_track_events`, the per-SM tracks.
+
+A multi-device SUMMA run keeps one trace per tile run, each on its own
+device clock: ``SummaResult.reconcile`` checks every one of them with
+:func:`repro.obs.analyze.reconcile`, and :func:`sm_track_events` draws
+a device's rounds on the node clock by offsetting them at export.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from ..gpu.counters import TrafficCounters
 from ..gpu.scheduler import KernelTiming
 
 __all__ = [
     "DEVICE_TRACE_SCHEMA",
-    "WORKER_ID_STRIDE",
     "BlockMeta",
     "BlockEvent",
     "DeviceRecord",
     "DeviceTrace",
-    "merge_device_traces",
+    "sm_track_events",
     "stage_timeline_events",
 ]
 
@@ -64,12 +68,6 @@ DEVICE_SM_PID = 3
 #: minimum rendered width (us) of a zero-duration stage slice, so the
 #: slice stays clickable in the Perfetto UI
 MIN_VISIBLE_DUR_US = 1e-3
-
-#: worker-id namespace stride per device ordinal when traces from a
-#: multi-device run are merged into one report: block/worker ids of
-#: device ``d`` become ``id + d * WORKER_ID_STRIDE``, so per-device ids
-#: can never collide (no single-device launch reaches 2^20 blocks)
-WORKER_ID_STRIDE = 1 << 20
 
 
 def _nonzero_counters(counters: dict | None) -> dict:
@@ -405,51 +403,6 @@ class DeviceTrace:
                 totals["ALL"][sm] += busy[sm]
         return totals
 
-    # -- multi-device merging ---------------------------------------------
-
-    def renumbered(self, *, ordinal: int, total_sms: int) -> "DeviceTrace":
-        """A copy with SM and worker ids namespaced by device ordinal.
-
-        SM ``s`` of device ``d`` becomes SM ``d * num_sms + s`` of a
-        ``total_sms``-wide node, worker/block ids move up by
-        ``d * WORKER_ID_STRIDE``, and each launch's ``sm_busy`` vector
-        is re-padded so the busy floats land at their namespaced SM
-        positions *without being re-accumulated* — ``per_sm_busy`` on
-        the merged trace therefore re-derives bit-for-bit.  Cycles are
-        left on the device-local clock (so span alignment and stage
-        sums stay byte-identical); node-timeline placement is a
-        presentation concern handled at Perfetto export.
-        """
-        sm_offset = ordinal * self.num_sms
-        worker_offset = ordinal * WORKER_ID_STRIDE
-        if sm_offset + self.num_sms > total_sms:
-            raise ValueError(
-                f"ordinal {ordinal} does not fit {total_sms} node SMs"
-            )
-        out = DeviceTrace(clock_ghz=self.clock_ghz, num_sms=total_sms)
-        out.truncated = self.truncated
-        out.truncation_reason = self.truncation_reason
-        out.chunk_counts = {
-            (k + worker_offset if k >= 0 else k): v
-            for k, v in self.chunk_counts.items()
-        }
-        for rec in self.records:
-            blocks = tuple(
-                replace(
-                    ev,
-                    worker_id=ev.worker_id + worker_offset,
-                    sm=ev.sm + sm_offset if ev.sm >= 0 else ev.sm,
-                )
-                for ev in rec.blocks
-            )
-            sm_busy = rec.sm_busy
-            if sm_busy:
-                padded = [0.0] * total_sms
-                padded[sm_offset : sm_offset + len(sm_busy)] = list(sm_busy)
-                sm_busy = tuple(padded)
-            out.records.append(replace(rec, blocks=blocks, sm_busy=sm_busy))
-        return out
-
     # -- serialisation ----------------------------------------------------
 
     def to_dict(self) -> dict:
@@ -467,94 +420,75 @@ class DeviceTrace:
         """Canonical serialisation: byte-identical across engines."""
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
 
-    def shifted(self, offset: float) -> "DeviceTrace":
-        """Presentation-only copy with every cycle stamp moved by ``offset``.
 
-        Used to place a device-local trace onto a node-wide timeline at
-        Perfetto export.  Adding a float offset perturbs re-derived
-        durations bitwise, so a shifted trace must **never** be fed to
-        ``reconcile`` — the exactness checks run on the unshifted trace.
-        """
-        out = DeviceTrace(clock_ghz=self.clock_ghz, num_sms=self.num_sms)
-        out.chunk_counts = dict(self.chunk_counts)
-        out.truncated = self.truncated
-        out.truncation_reason = self.truncation_reason
-        for rec in self.records:
-            out.records.append(
-                replace(
-                    rec,
-                    start_cycle=rec.start_cycle + offset,
-                    blocks=tuple(
-                        replace(
-                            ev,
-                            start_cycle=ev.start_cycle + offset,
-                            end_cycle=ev.end_cycle + offset,
-                        )
-                        for ev in rec.blocks
-                    ),
-                )
-            )
-        return out
+def sm_track_events(
+    placed,
+    pid: int = DEVICE_SM_PID,
+    *,
+    process_name: str = "simulated device (per-SM)",
+) -> list[dict]:
+    """Per-SM tracks plus counter tracks of one device in Chrome trace
+    format.
 
-    # -- Perfetto export ---------------------------------------------------
+    ``placed`` holds the device's runs as ``(trace, offset)`` pairs, in
+    order: ``[(trace, 0.0)]`` for one run, each SUMMA round's trace with
+    its node-clock start.  Offsets are added to the exported stamps
+    only, so the traces stay on the clocks ``reconcile`` checks them on.
+    Slices (``ph: "X"``) land on one thread per SM; counter events
+    (``ph: "C"``) track the chunk-pool occupancy at each record and the
+    per-SM scratchpad high-water at each block start/end.  Timestamps
+    are microseconds on the simulated clock.
+    """
+    scale = 1.0 / (placed[0][0].clock_ghz * 1e3)  # cycles -> us
 
-    def to_perfetto_events(
-        self,
-        pid: int = DEVICE_SM_PID,
-        *,
-        process_name: str = "simulated device (per-SM)",
-    ) -> list[dict]:
-        """Per-SM tracks plus counter tracks in Chrome trace format.
+    def us(cycles: float) -> float:
+        return cycles * scale
 
-        Slices (``ph: "X"``) land on one thread per SM; counter events
-        (``ph: "C"``) track the chunk-pool occupancy at each record and
-        the per-SM scratchpad high-water at each block start/end.
-        Timestamps are microseconds on the simulated clock.
-        """
-        scale = 1.0 / (self.clock_ghz * 1e3)  # cycles -> us
-
-        def us(cycles: float) -> float:
-            return cycles * scale
-
-        events: list[dict] = [
+    events: list[dict] = [
+        {
+            "name": "process_name",
+            "ph": "M",
+            "pid": pid,
+            "tid": 0,
+            "args": {"name": process_name},
+        },
+        {
+            "name": "process_sort_index",
+            "ph": "M",
+            "pid": pid,
+            "tid": 0,
+            "args": {"sort_index": pid},
+        },
+    ]
+    used_sms = sorted(
+        {
+            ev.sm
+            for trace, _ in placed
+            for _, ev in trace.block_events()
+            if ev.sm >= 0
+        }
+    )
+    for sm in used_sms:
+        events.append(
             {
-                "name": "process_name",
+                "name": "thread_name",
                 "ph": "M",
                 "pid": pid,
-                "tid": 0,
-                "args": {"name": process_name},
-            },
-            {
-                "name": "process_sort_index",
-                "ph": "M",
-                "pid": pid,
-                "tid": 0,
-                "args": {"sort_index": pid},
-            },
-        ]
-        used_sms = sorted(
-            {ev.sm for _, ev in self.block_events() if ev.sm >= 0}
+                "tid": sm + 1,
+                "args": {"name": f"SM {sm}"},
+            }
         )
-        for sm in used_sms:
-            events.append(
-                {
-                    "name": "thread_name",
-                    "ph": "M",
-                    "pid": pid,
-                    "tid": sm + 1,
-                    "args": {"name": f"SM {sm}"},
-                }
-            )
-            events.append(
-                {
-                    "name": "thread_sort_index",
-                    "ph": "M",
-                    "pid": pid,
-                    "tid": sm + 1,
-                    "args": {"sort_index": sm + 1},
-                }
-            )
-        for rec in self.records:
+        events.append(
+            {
+                "name": "thread_sort_index",
+                "ph": "M",
+                "pid": pid,
+                "tid": sm + 1,
+                "args": {"sort_index": sm + 1},
+            }
+        )
+    for trace, offset in placed:
+        for rec in trace.records:
             if rec.kind == "launch":
                 for ev in rec.blocks:
                     if ev.sm < 0:
@@ -562,7 +496,7 @@ class DeviceTrace:
                             {
                                 "name": f"{rec.stage} abort w{ev.worker_id}",
                                 "ph": "i",
-                                "ts": us(ev.start_cycle),
+                                "ts": us(ev.start_cycle + offset),
                                 "pid": pid,
                                 "tid": 0,
                                 "s": "p",
@@ -573,7 +507,7 @@ class DeviceTrace:
                         {
                             "name": f"{rec.stage} r{rec.round_index} w{ev.worker_id}",
                             "ph": "X",
-                            "ts": us(ev.start_cycle),
+                            "ts": us(ev.start_cycle + offset),
                             "dur": us(ev.cycles),
                             "pid": pid,
                             "tid": ev.sm + 1,
@@ -591,7 +525,7 @@ class DeviceTrace:
                             {
                                 "name": f"scratchpad bytes (SM {ev.sm})",
                                 "ph": "C",
-                                "ts": us(ev.start_cycle),
+                                "ts": us(ev.start_cycle + offset),
                                 "pid": pid,
                                 "tid": 0,
                                 "args": {"bytes": ev.scratch_high_water},
@@ -601,7 +535,7 @@ class DeviceTrace:
                             {
                                 "name": f"scratchpad bytes (SM {ev.sm})",
                                 "ph": "C",
-                                "ts": us(ev.end_cycle),
+                                "ts": us(ev.end_cycle + offset),
                                 "pid": pid,
                                 "tid": 0,
                                 "args": {"bytes": 0},
@@ -612,7 +546,7 @@ class DeviceTrace:
                     {
                         "name": "chunk pool occupancy",
                         "ph": "C",
-                        "ts": us(rec.start_cycle + rec.cycles),
+                        "ts": us(rec.start_cycle + offset + rec.cycles),
                         "pid": pid,
                         "tid": 0,
                         "args": {
@@ -622,7 +556,7 @@ class DeviceTrace:
                         },
                     }
                 )
-        return events
+    return events
 
 
 def stage_timeline_events(
@@ -747,30 +681,3 @@ def stage_timeline_events(
         for stage, tid in tid_of.items()
     )
     return meta + events
-
-
-def merge_device_traces(entries, *, clock_ghz: float, total_sms: int) -> DeviceTrace:
-    """Merge per-device traces of one node run into a single trace.
-
-    ``entries`` is an iterable of ``(ordinal, DeviceTrace)`` pairs in
-    the deterministic merge order (device-major, then round).  Each
-    trace is renumbered into the ordinal's SM/worker namespace first,
-    so ids from different devices can never collide; records keep their
-    device-local cycles and are concatenated in entry order, which is
-    the order every exactness check (stage sums, span alignment) uses.
-    """
-    merged = DeviceTrace(clock_ghz=clock_ghz, num_sms=total_sms)
-    reasons = []
-    for ordinal, trace in entries:
-        part = trace.renumbered(ordinal=ordinal, total_sms=total_sms)
-        merged.records.extend(part.records)
-        for bid, count in part.chunk_counts.items():
-            # namespaced ids are disjoint; only the merge-produced
-            # bucket (-1) is shared and accumulates
-            merged.chunk_counts[bid] = merged.chunk_counts.get(bid, 0) + count
-        if part.truncated:
-            merged.truncated = True
-            if part.truncation_reason:
-                reasons.append(f"device {ordinal}: {part.truncation_reason}")
-    merged.truncation_reason = "; ".join(reasons)
-    return merged

@@ -27,7 +27,7 @@ import json
 import re
 from pathlib import Path
 
-from .device import stage_timeline_events
+from .device import sm_track_events, stage_timeline_events
 from .span import Span
 
 __all__ = [
@@ -215,34 +215,42 @@ _META_NAMES = {
 
 
 def span_events(
-    root: Span, clock_ghz: float, *, pid: int = SPAN_PID, tid: int = 1
+    root: Span,
+    clock_ghz: float,
+    *,
+    pid: int = SPAN_PID,
+    tid: int = 1,
+    offset: float = 0.0,
+    names: tuple[str, str] | None = ("pipeline spans", "host pipeline"),
+    prune=None,
 ) -> list[dict]:
-    """Chrome-trace events for one span tree (plus name metadata)."""
+    """Chrome-trace events for one span tree (plus name metadata).
+
+    ``offset`` moves every stamp onto another clock (a SUMMA tile's
+    subtree onto the node clock); it is added here, in presentation
+    floats only, so the span tree keeps the clock its reconcile checks
+    run on.  ``names`` are the process and thread names of the row
+    (``None``: the caller names it), and the walk does not descend into
+    a span for which ``prune(span)`` is true.
+    """
     us = 1e6 / (clock_ghz * 1e9)
     events: list[dict] = [
-        {
-            "name": "process_name",
-            "ph": "M",
-            "pid": pid,
-            "tid": tid,
-            "args": {"name": "pipeline spans"},
-        },
-        {
-            "name": "thread_name",
-            "ph": "M",
-            "pid": pid,
-            "tid": tid,
-            "args": {"name": "host pipeline"},
-        },
+        {"name": kind, "ph": "M", "pid": pid, "tid": tid, "args": {"name": name}}
+        for kind, name in zip(("process_name", "thread_name"), names or ())
     ]
-    for span in root.walk():
+    pending = [root]
+    while pending:
+        span = pending.pop()
+        if prune is not None and prune(span):
+            continue
+        pending.extend(reversed(span.children))
         end = span.end_cycle if span.end_cycle is not None else span.start_cycle
         events.append(
             {
                 "name": span.name,
                 "cat": "span",
                 "ph": "X",
-                "ts": span.start_cycle * us,
+                "ts": (span.start_cycle + offset) * us,
                 "dur": (end - span.start_cycle) * us,
                 "pid": pid,
                 "tid": tid,
@@ -255,7 +263,7 @@ def span_events(
                     "name": ev.label,
                     "cat": "span-event",
                     "ph": "i",
-                    "ts": ev.cycle * us,
+                    "ts": (ev.cycle + offset) * us,
                     "pid": pid,
                     "tid": tid,
                     "s": "t",
@@ -357,7 +365,7 @@ def perfetto_payload(
     events: list[dict] = []
     if device is not None:
         events.extend(stage_timeline_events(device))
-        events.extend(device.to_perfetto_events())
+        events.extend(sm_track_events([(device, 0.0)]))
         if clock_ghz is None:
             clock_ghz = device.clock_ghz
     if spans is not None:
@@ -373,46 +381,6 @@ def perfetto_payload(
     return {"traceEvents": events, "displayTimeUnit": "ms"}
 
 
-def _subtree_events(
-    span: Span, offset: float, us: float, pid: int, tid: int
-) -> list[dict]:
-    """X/i events for one grafted span subtree shifted by ``offset``.
-
-    The shift happens here, in presentation floats only — the span tree
-    itself stays on the device-local clock so the bitwise reconcile
-    checks keep holding on the original data.
-    """
-    events: list[dict] = []
-    for s in span.walk():
-        end = s.end_cycle if s.end_cycle is not None else s.start_cycle
-        events.append(
-            {
-                "name": s.name,
-                "cat": "span",
-                "ph": "X",
-                "ts": (s.start_cycle + offset) * us,
-                "dur": (end - s.start_cycle) * us,
-                "pid": pid,
-                "tid": tid,
-                "args": {k: s.attrs[k] for k in sorted(s.attrs)},
-            }
-        )
-        for ev in s.events:
-            events.append(
-                {
-                    "name": ev.label,
-                    "cat": "span-event",
-                    "ph": "i",
-                    "ts": (ev.cycle + offset) * us,
-                    "pid": pid,
-                    "tid": tid,
-                    "s": "t",
-                    "args": {"detail": ev.detail},
-                }
-            )
-    return events
-
-
 def summa_perfetto_payload(result) -> dict:
     """Perfetto JSON for one multi-device SUMMA run.
 
@@ -422,71 +390,32 @@ def summa_perfetto_payload(result) -> dict:
     per device**: the device's grafted pipeline-span subtrees (pid
     ``SUMMA_SPAN_PID_BASE + ordinal``, one thread row per SUMMA round)
     and — when the tiles were run with ``device_trace=True`` — its
-    per-SM tracks (pid ``SUMMA_SM_PID_BASE + ordinal``).  Device-local
-    cycles are translated onto the node clock here, at export, using the
-    ``start_cycle_on_node`` placement attr recorded by ``summa_spgemm``.
+    per-SM tracks (pid ``SUMMA_SM_PID_BASE + ordinal``).  Both are drawn
+    by the single-device exporters, :func:`span_events` and
+    :func:`~repro.obs.device.sm_track_events`, with each tile run's
+    node-clock start as the offset: spans and traces stay on their
+    device-local clocks, where ``SummaResult.reconcile`` checks them.
     """
     clock_ghz = result.clock_ghz
-    us = 1e6 / (clock_ghz * 1e9)
     g = result.grid
-    events: list[dict] = [
-        {
-            "name": "process_name",
-            "ph": "M",
-            "pid": SPAN_PID,
-            "tid": 1,
-            "args": {"name": "SUMMA node"},
-        },
-        {
-            "name": "thread_name",
-            "ph": "M",
-            "pid": SPAN_PID,
-            "tid": 1,
-            "args": {"name": "node timeline"},
-        },
-    ]
-    # node narrative: walk the tree but stop at grafted device subtrees
-    # (they carry a start_cycle_on_node placement attr)
-    pending = [result.spans]
-    grafted: list[Span] = []
-    while pending:
-        span = pending.pop()
-        if "start_cycle_on_node" in span.attrs:
-            grafted.append(span)
-            continue
-        end = span.end_cycle if span.end_cycle is not None else span.start_cycle
-        events.append(
-            {
-                "name": span.name,
-                "cat": "span",
-                "ph": "X",
-                "ts": span.start_cycle * us,
-                "dur": (end - span.start_cycle) * us,
-                "pid": SPAN_PID,
-                "tid": 1,
-                "args": {k: span.attrs[k] for k in sorted(span.attrs)},
-            }
-        )
-        pending.extend(span.children)
-
-    named_pids: set[int] = set()
-    for sub in sorted(
-        grafted, key=lambda s: (s.attrs["device"], s.attrs["round"])
-    ):
-        ordinal = sub.attrs["device"]
-        k = sub.attrs["round"]
-        pid = SUMMA_SPAN_PID_BASE + ordinal
-        if pid not in named_pids:
-            named_pids.add(pid)
+    # node narrative: the tree minus the grafted device subtrees, which
+    # carry the start_cycle_on_node placement attr
+    events = span_events(
+        result.spans,
+        clock_ghz,
+        names=("SUMMA node", "node timeline"),
+        prune=lambda span: "start_cycle_on_node" in span.attrs,
+    )
+    for i in range(g):
+        for j in range(g):
+            pid = SUMMA_SPAN_PID_BASE + i * g + j
             events.append(
                 {
                     "name": "process_name",
                     "ph": "M",
                     "pid": pid,
                     "tid": 0,
-                    "args": {
-                        "name": f"device {sub.attrs['device_grid']} pipeline"
-                    },
+                    "args": {"name": f"device ({i},{j}) pipeline"},
                 }
             )
             events.append(
@@ -498,35 +427,37 @@ def summa_perfetto_payload(result) -> dict:
                     "args": {"sort_index": pid},
                 }
             )
-        events.append(
-            {
-                "name": "thread_name",
-                "ph": "M",
-                "pid": pid,
-                "tid": k + 1,
-                "args": {"name": f"round {k}"},
-            }
-        )
-        offset = sub.attrs["start_cycle_on_node"] - sub.start_cycle
-        events.extend(_subtree_events(sub, offset, us, pid, k + 1))
+            for k in range(g):
+                sub = result.tile_runs[(i, j, k)].result.spans
+                events.append(
+                    {
+                        "name": "thread_name",
+                        "ph": "M",
+                        "pid": pid,
+                        "tid": k + 1,
+                        "args": {"name": f"round {k}"},
+                    }
+                )
+                events.extend(
+                    span_events(
+                        sub,
+                        clock_ghz,
+                        pid=pid,
+                        tid=k + 1,
+                        offset=sub.attrs["start_cycle_on_node"] - sub.start_cycle,
+                        names=None,
+                    )
+                )
 
     # per-device SM tracks, when every tile carried a device trace
-    traces = [run.result.device_trace for run in result.tile_runs.values()]
-    if traces and all(t is not None for t in traces):
+    if all(run.result.device_trace is not None for run in result.tile_runs.values()):
         for i in range(g):
             for j in range(g):
-                ordinal = i * g + j
                 runs = [result.tile_runs[(i, j, k)] for k in range(g)]
-                merged = None
-                for run in runs:
-                    part = run.result.device_trace.shifted(run.start_cycle)
-                    if merged is None:
-                        merged = part
-                    else:
-                        merged.records.extend(part.records)
                 events.extend(
-                    merged.to_perfetto_events(
-                        pid=SUMMA_SM_PID_BASE + ordinal,
+                    sm_track_events(
+                        [(run.result.device_trace, run.start_cycle) for run in runs],
+                        pid=SUMMA_SM_PID_BASE + i * g + j,
                         process_name=f"device ({i},{j}) SMs",
                     )
                 )

@@ -15,6 +15,8 @@ The determinism tests pin the numerical contract documented in
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -29,14 +31,18 @@ from repro.multi import (
     NodeConfig,
     SummaReconciliationError,
     assemble_tiles,
-    merged_trace_view,
     split_points,
     summa_spgemm,
 )
 from repro.obs.analyze import reconcile
-from repro.obs.export import summa_perfetto_payload, validate_perfetto
+from repro.obs.export import (
+    SUMMA_SM_PID_BASE,
+    SUMMA_SPAN_PID_BASE,
+    summa_perfetto_payload,
+    validate_perfetto,
+)
 from repro.resilience import FaultPlan
-from repro.sparse import spgemm_reference, transpose
+from repro.sparse import COOMatrix, spgemm_reference, transpose
 
 
 def _bytes_equal(x: np.ndarray, y: np.ndarray) -> bool:
@@ -204,6 +210,8 @@ class TestReconcile:
         recon = res.reconcile()
         assert recon["links_exact"] and recon["counters_exact"]
         assert recon["nnz_conserved"] and recon["stage_cycles_exact"]
+        # untraced tiles: no per-tile trace check, nothing reported
+        assert "tile_traces_exact" not in recon
 
     def test_tampering_detected(self):
         a = random_uniform(80, 80, 6, seed=22)
@@ -220,43 +228,51 @@ class TestReconcile:
         with pytest.raises(SummaReconciliationError):
             res.reconcile()
 
+    def test_nnz_tampering_detected(self):
+        a = random_uniform(80, 80, 6, seed=24)
+        res = summa_spgemm(a, a, NodeConfig(devices=4), AcSpgemmOptions())
+        c = res.matrix
+        rows = np.repeat(np.arange(c.rows), c.row_lengths())
+        keep = np.arange(c.nnz) != c.nnz // 2
+        res.matrix = COOMatrix(
+            rows=c.rows,
+            cols=c.cols,
+            row_idx=rows[keep],
+            col_idx=c.col_idx[keep],
+            values=c.values[keep],
+        ).to_csr()
+        assert res.matrix.nnz == c.nnz - 1
+        with pytest.raises(SummaReconciliationError, match="merged nnz"):
+            res.reconcile()
 
-class TestMergedTrace:
-    def test_merged_trace_reconciles_exactly(self):
+    def test_traced_summa_reconciles_every_tile(self):
         a = random_uniform(90, 90, 6, seed=31)
         res = summa_spgemm(
             a, a, NodeConfig(devices=4),
             AcSpgemmOptions(device_trace=True),
             backend="ac-spgemm",
         )
-        view = merged_trace_view(res)
-        report = reconcile(view)
-        assert report["checked"]
-        assert report["stage_cycles_exact"]
-        assert report["counters_exact"]
-        assert report["sm_busy_exact"]
-        assert report["spans_exact"]
+        recon = res.reconcile()
+        assert recon["tile_traces_exact"]
+        assert recon["tile_traces_unchecked"] == []
+        for run in res.tile_runs.values():
+            report = reconcile(run.result)
+            assert report["checked"] and report["stage_cycles_exact"]
+            assert report["counters_exact"] and report["sm_busy_exact"]
+            assert report["spans_exact"]
 
-    def test_sm_ids_namespaced_disjoint(self):
-        a = random_uniform(90, 90, 6, seed=32)
+    def test_tile_trace_tamper_detected(self):
+        a = random_uniform(90, 90, 6, seed=31)
         res = summa_spgemm(
             a, a, NodeConfig(devices=4),
             AcSpgemmOptions(device_trace=True),
             backend="ac-spgemm",
         )
-        view = merged_trace_view(res)
-        per_dev = res.tile_runs[(0, 0, 0)].result.device_trace.num_sms
-        ordinals = set()
-        for _, ev in view.device_trace.block_events():
-            if ev.sm >= 0:
-                ordinals.add(ev.sm // per_dev)
-        assert ordinals == {0, 1, 2, 3}
-
-    def test_requires_device_trace(self):
-        a = random_uniform(50, 50, 4, seed=33)
-        res = summa_spgemm(a, a, NodeConfig(devices=4), AcSpgemmOptions())
-        with pytest.raises(ValueError):
-            merged_trace_view(res)
+        trace = res.tile_runs[(1, 0, 1)].result.device_trace
+        rec = trace.records[0]
+        trace.records[0] = replace(rec, cycles=rec.cycles + 1.0)
+        with pytest.raises(SummaReconciliationError, match=r"tile \(1, 0, 1\)"):
+            res.reconcile()
 
 
 class TestFaults:
@@ -274,6 +290,20 @@ class TestFaults:
         assert res.matrix.exactly_equal(single.matrix)
         res.reconcile()
 
+    def test_degraded_tile_trace_reported_unchecked(self):
+        a = poisson_2d(16)
+        opts = AcSpgemmOptions(
+            on_failure="fallback", max_restarts=0, device_trace=True
+        )
+        res = summa_spgemm(
+            a, a, NodeConfig(devices=4), opts,
+            backend="ac-spgemm",
+            tile_fault_plans={(0, 1, 0): FaultPlan.pool_exhaust_at(1)},
+        )
+        recon = res.reconcile()
+        assert recon["tile_traces_exact"]
+        assert recon["tile_traces_unchecked"] == [[0, 1, 0]]
+
 
 class TestPerfetto:
     def test_payload_validates_all_grids(self):
@@ -289,3 +319,38 @@ class TestPerfetto:
             pids = {e["pid"] for e in payload["traceEvents"]}
             # node narrative plus two rows (spans + SMs) per device
             assert len(pids) == 1 + 2 * devices
+
+    def test_device_rows_placed_on_node_clock(self):
+        a = random_uniform(80, 80, 5, seed=42)
+        res = summa_spgemm(
+            a, a, NodeConfig(devices=4),
+            AcSpgemmOptions(device_trace=True),
+            backend="ac-spgemm",
+        )
+        events = summa_perfetto_payload(res)["traceEvents"]
+        us = 1e6 / (res.clock_ghz * 1e9)
+        for (i, j, k), run in res.tile_runs.items():
+            row = [
+                e["ts"] for e in events
+                if e["pid"] == SUMMA_SPAN_PID_BASE + res.device_ordinal(i, j)
+                and e["tid"] == k + 1 and e["ph"] == "X"
+            ]
+            assert row[0] == pytest.approx(run.start_cycle * us)
+        for i in range(2):
+            for j in range(2):
+                slices = [
+                    (e["ts"], e["ts"] + e["dur"]) for e in events
+                    if e["pid"] == SUMMA_SM_PID_BASE + res.device_ordinal(i, j)
+                    and e["ph"] == "X"
+                ]
+                # round 0 opens the device's SM rows, round 1 closes them
+                first, last = (res.tile_runs[(i, j, k)] for k in range(2))
+                blocks = [
+                    [ev for _, ev in run.result.device_trace.block_events()
+                     if ev.sm >= 0]
+                    for run in (first, last)
+                ]
+                opens = first.start_cycle + min(ev.start_cycle for ev in blocks[0])
+                closes = last.start_cycle + max(ev.end_cycle for ev in blocks[1])
+                assert min(s for s, _ in slices) == pytest.approx(opens * us)
+                assert max(e for _, e in slices) == pytest.approx(closes * us)
